@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .cutproject import (
 from .diffraction import (
     Spectrum,
     SpectrumEntry,
+    _convergence,
     autocorrelation,
     find_peaks,
     fourier_average,
@@ -47,7 +49,7 @@ from .ergodic import (
     ww_report,
 )
 from .errors import NumericalDiagnosticError, ResourceLimitError, ValidationError
-from .geometry import Box, VanHoveCubes, cube_sequence
+from .geometry import Box, VanHoveCubes, _vector, cube_sequence
 from .pointset import (
     Substitution,
     WeightedPointSet,
@@ -59,6 +61,10 @@ from .randomize import DisplacementDist, RandomModel, displace, percolate, predi
 
 # execution hints and destinations are not part of the reproducible config
 _CONFIG_EXCLUDE = {"func", "command", "subcommand", "threads", "output"}
+# most frequencies a start:stop:step grid may expand to
+_GRID_CAP = 10**6
+# argparse reads a value starting with "-" as an option unless it is attached
+_BOX_HELP = "lo,hi or lo1,lo2;hi1,hi2 (write --box=-2,832 when lo is negative)"
 
 
 def _fmt(x: float) -> str:
@@ -110,26 +116,32 @@ def _csv_envelope(args: argparse.Namespace, input_path: str | None) -> dict:
     }
 
 
-def _parse_floats(text: str) -> list[float]:
+@contextmanager
+def _invalid(what: str):
+    """Report a KeyError, ValueError or OSError raised inside as a ValidationError."""
     try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, ValueError, OSError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"{what}: {detail}") from exc
+
+
+def _parse_floats(text: str) -> list[float]:
+    with _invalid(f"cannot parse float list {text!r}"):
         return [float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse float list {text!r}: {exc}")
 
 
 def _parse_ints(text: str) -> list[int]:
-    try:
+    with _invalid(f"cannot parse integer list {text!r}"):
         return [int(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse integer list {text!r}: {exc}")
 
 
 def _parse_vector(text: str) -> list[float]:
     """Frequency vector: scalar `1.89` or semicolon components `1.89;0.5`."""
-    try:
+    with _invalid(f"cannot parse vector {text!r}"):
         return [float(t) for t in text.split(";")]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse vector {text!r}: {exc}")
 
 
 def _parse_box(text: str) -> Box:
@@ -149,13 +161,16 @@ def _parse_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"range syntax is start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        with _invalid(f"cannot parse frequency range {text!r}"):
+            start, stop, step = (float(p) for p in parts)
         if not step > 0:
             raise ValidationError("grid step must be positive")
-        count = int(np.ceil((stop - start) / step - 1e-12))
-        if count < 1:
+        count = np.ceil((stop - start) / step - 1e-12)
+        if not count >= 1:
             raise ValidationError(f"empty frequency range {text!r}")
-        return [start + i * step for i in range(count)]
+        if count > _GRID_CAP:
+            raise ResourceLimitError(f"frequency range {text!r} has {count:.3g} points, over {_GRID_CAP}")
+        return [start + i * step for i in range(int(count))]
     return _parse_floats(text)
 
 
@@ -163,7 +178,8 @@ def _parse_radii(text: str) -> list[int]:
     """`1..100` (inclusive) or a comma list of integers."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        with _invalid(f"cannot parse radius range {text!r}"):
+            lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValidationError(f"empty radius range {text!r}")
         return list(range(lo, hi + 1))
@@ -176,14 +192,16 @@ def _parse_symbol_lengths(text: str) -> dict:
         if "=" not in item:
             raise ValidationError(f"tile lengths look like a=1.618,b=1; got {item!r}")
         key, val = item.split("=", 1)
-        out[key.strip()] = float(val)
+        with _invalid(f"cannot parse tile length {item!r}"):
+            out[key.strip()] = float(val)
     return out
 
 
 def _parse_dist(text: str) -> DisplacementDist:
     """`uniform_interval:a=0.1`, `two_point:a=0.25`, or a JSON file path."""
     if Path(text).is_file():
-        return DisplacementDist.from_json(json.loads(Path(text).read_text()))
+        with _invalid(f"distribution file {text}"):
+            return DisplacementDist.from_json(json.loads(Path(text).read_text()))
     if ":" not in text:
         raise ValidationError(
             f"distribution spec {text!r} is neither kind:params nor an existing file"
@@ -194,7 +212,8 @@ def _parse_dist(text: str) -> DisplacementDist:
         if "=" not in item:
             raise ValidationError(f"distribution parameter {item!r} must be key=value")
         key, val = item.split("=", 1)
-        fields[key.strip()] = float(val)
+        with _invalid(f"cannot parse distribution parameter {item!r}"):
+            fields[key.strip()] = float(val)
     if kind in ("uniform_interval", "two_point"):
         if set(fields) != {"a"}:
             raise ValidationError(f"{kind} takes exactly the parameter a")
@@ -204,37 +223,29 @@ def _parse_dist(text: str) -> DisplacementDist:
 
 def _parse_model(text: str) -> RandomModel:
     """Model JSON file path or compact `percolation:p=0.5` / `displacement:<dist>`."""
-    if Path(text).is_file():
-        return RandomModel.from_json(json.loads(Path(text).read_text()))
-    if text.startswith("percolation:"):
-        fields = dict(item.split("=", 1) for item in text.split(":", 1)[1].split(","))
-        return RandomModel("percolation", int(fields.get("seed", 0)), p=float(fields["p"]))
-    if text.startswith("displacement:"):
-        return RandomModel("displacement", 0, dist=_parse_dist(text.split(":", 1)[1]))
+    with _invalid(f"cannot parse model {text!r}"):
+        if Path(text).is_file():
+            return RandomModel.from_json(json.loads(Path(text).read_text()))
+        if text.startswith("percolation:"):
+            fields = dict(item.split("=", 1) for item in text.split(":", 1)[1].split(","))
+            return RandomModel("percolation", int(fields.get("seed", 0)), p=float(fields["p"]))
+        if text.startswith("displacement:"):
+            return RandomModel("displacement", 0, dist=_parse_dist(text.split(":", 1)[1]))
     raise ValidationError(f"cannot parse model {text!r}")
 
 
 def _load_scheme(text: str):
     """Preset name or scheme JSON file; returns (scheme, deformation or None)."""
     if Path(text).is_file():
-        try:
-            obj = json.loads(Path(text).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"scheme file {text}: invalid JSON at line {exc.lineno}: {exc.msg}")
-        return CutProjectScheme.from_json(obj)
+        with _invalid(f"scheme file {text}"):
+            return CutProjectScheme.from_json(json.loads(Path(text).read_text()))
     return preset_scheme(text), None
 
 
 def _load_pointset(path: str) -> WeightedPointSet:
-    try:
+    with _invalid(f"point-set file {path}"):
         obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValidationError(f"cannot read point-set file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"point-set file {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    if "pointset" in obj:
-        obj = obj["pointset"]
-    return WeightedPointSet.from_json(obj)
+        return WeightedPointSet.from_json(obj["pointset"] if "pointset" in obj else obj)
 
 
 def _write_pointset(wps: WeightedPointSet, args: argparse.Namespace, input_path: str | None = None) -> None:
@@ -244,9 +255,10 @@ def _write_pointset(wps: WeightedPointSet, args: argparse.Namespace, input_path:
 def _load_substitution(args: argparse.Namespace) -> Substitution:
     name = args.rules
     if Path(name).is_file():
-        obj = json.loads(Path(name).read_text())
-        lengths = {k: float(v) for k, v in obj["lengths"].items()}
-        return Substitution(tuple(obj["alphabet"]), dict(obj["rules"]), lengths, obj["seed"])
+        with _invalid(f"substitution file {name}"):
+            obj = json.loads(Path(name).read_text())
+            lengths = {k: float(v) for k, v in obj["lengths"].items()}
+            return Substitution(tuple(obj["alphabet"]), dict(obj["rules"]), lengths, obj["seed"])
     return named_substitution(name)
 
 
@@ -257,7 +269,8 @@ def _resolve_word(args: argparse.Namespace, min_letters: int = 1) -> tuple[str, 
     more letters; the fixed point is unique, so this never changes any value.
     """
     if getattr(args, "word_file", None):
-        return Path(args.word_file).read_text().strip(), args.word_file
+        with _invalid(f"cannot read word file {args.word_file}"):
+            return Path(args.word_file).read_text().strip(), args.word_file
     if getattr(args, "rules", None):
         s = _load_substitution(args)
         n = max(args.length, min_letters)
@@ -269,8 +282,9 @@ def _parse_observable(text: str, word: str) -> Observable:
     if text.startswith("indicator:"):
         return Observable.indicator(text.split(":", 1)[1], sorted(set(word)))
     if Path(text).is_file():
-        obj = json.loads(Path(text).read_text())
-        return Observable(int(obj["locality"]), {str(k): complex(v[0], v[1]) if isinstance(v, list) else complex(v) for k, v in obj["table"].items()})
+        with _invalid(f"observable file {text}"):
+            obj = json.loads(Path(text).read_text())
+            return Observable(int(obj["locality"]), {str(k): complex(v[0], v[1]) if isinstance(v, list) else complex(v) for k, v in obj["table"].items()})
     raise ValidationError(f"observable spec {text!r} is neither indicator:<symbol> nor a JSON file")
 
 
@@ -329,29 +343,14 @@ def cmd_diffract(args: argparse.Namespace) -> int:
             lo, hi = wps.bounding_box
             center = 0.5 * (lo + hi)
         cubes = cube_sequence(VanHoveCubes(center, side0, growth, int(count)))
+        xi = _vector(xi, dim=wps.dim, name="xi")
+        vals = scan_spectrum(wps, cubes, [xi], estimator=args.estimator).entries[0].intensities
         entries = []
-        prev = None
-        for cube in cubes:
-            if args.estimator == "autocorr":
-                val = intensity_from_autocorr(autocorrelation(wps, cube), xi)
-                count_in = int(cube.contains(wps.points).sum())
-            else:
-                fa = fourier_average(wps, cube, xi)
-                val, count_in = abs(fa.value) ** 2, fa.point_count
-            gap = abs(val - prev) if prev is not None else float("nan")
-            entries.append(
-                SpectrumEntry(
-                    tuple(float(v) for v in xi),
-                    float(val),
-                    args.estimator,
-                    (float(val),),
-                    float(gap),
-                    bool(gap < 1e-3 * max(val, 1e-6)) if prev is not None else False,
-                    cube.volume,
-                    count_in,
-                )
-            )
-            prev = val
+        for k, cube in enumerate(cubes):
+            gap, converged, _ = _convergence(vals[: k + 1])
+            count_in = int(cube.contains(wps.points).sum())
+            entries.append(SpectrumEntry(tuple(float(v) for v in xi), vals[k], args.estimator,
+                                         (vals[k],), float(gap), converged, cube.volume, count_in))
         buf = io.StringIO()
         spectrum_to_csv(Spectrum(tuple(entries)), buf, _csv_envelope(args, args.input))
         _emit(buf.getvalue(), args.output)
@@ -405,7 +404,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         _emit("\n".join(lines) + "\n", args.output)
     else:  # perturbed
         model = _parse_model(args.model)
-        with open(args.base_spectrum) as fh:
+        with _invalid(f"base spectrum {args.base_spectrum}"), open(args.base_spectrum) as fh:
             sp, _ = spectrum_from_csv(fh)
         env = _csv_envelope(args, args.base_spectrum)
         lines = [f"# {k}={env[k]}" for k in sorted(env)]
@@ -427,7 +426,8 @@ def cmd_ww(args: argparse.Namespace) -> int:
     offsets = _parse_ints(args.offsets)
     locality = 0
     if not args.f.startswith("indicator:") and Path(args.f).is_file():
-        locality = int(json.loads(Path(args.f).read_text())["locality"])
+        with _invalid(f"observable file {args.f}"):
+            locality = int(json.loads(Path(args.f).read_text())["locality"])
     word, hash_path = _resolve_word(
         args, min_letters=max(lengths) + max(offsets) + 2 * locality
     )
@@ -490,13 +490,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     g = gen.add_parser("lattice", help="points of spacing*Z^d in a box")
     g.add_argument("--dim", type=int, default=1)
-    g.add_argument("--box", required=True, help="lo,hi or lo1,lo2;hi1,hi2")
+    g.add_argument("--box", required=True, help=_BOX_HELP)
     g.add_argument("--spacing", type=float, default=1.0)
     add_output(g)
     g.set_defaults(func=cmd_gen)
     g = gen.add_parser("model-set", help="cut-and-project model set")
     g.add_argument("--scheme", required=True, help="preset name or scheme JSON file")
-    g.add_argument("--box", required=True, help="physical box lo,hi")
+    g.add_argument("--box", required=True, help=f"physical box {_BOX_HELP}")
     g.add_argument("--cap", type=int, default=10**8, help="candidate enumeration cap")
     add_output(g)
     g.set_defaults(func=cmd_gen)
@@ -529,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     g = dif.add_parser("scan", help="spectrum over a frequency grid")
     g.add_argument("--input", required=True)
-    g.add_argument("--box", required=True)
+    g.add_argument("--box", required=True, help=_BOX_HELP)
     g.add_argument("--xi", required=True, help="start:stop:step or comma list")
     g.add_argument("--estimator", choices=("fourier", "autocorr"), default="fourier")
     g.add_argument("--threads", type=int, default=1)
@@ -545,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_diffract)
     g = dif.add_parser("peaks", help="scan, then locate local maxima")
     g.add_argument("--input", required=True)
-    g.add_argument("--box", required=True)
+    g.add_argument("--box", required=True, help=_BOX_HELP)
     g.add_argument("--xi", required=True)
     g.add_argument("--floor", type=float, required=True)
     g.add_argument("--refine", action="store_true", help="golden-section polish")

@@ -18,6 +18,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +65,19 @@ def fourier_average(wps: WeightedPointSet, box: Box, xi) -> FourierAverage:
     return FourierAverage(xi, value, box.volume, int(mask.sum()))
 
 
+def _convergence(intensities) -> tuple[float, bool, float]:
+    """(last_gap, converged, tol) of per-scale intensities I_1..I_n.
+
+    Converged when last_gap = |I_n - I_{n-1}| is below tol = 1e-3 * max(I_n, 1e-6);
+    a single scale has last_gap nan and never converges.
+    """
+    tol = 1e-3 * max(intensities[-1], 1e-6)
+    if len(intensities) < 2:
+        return float("nan"), False, tol
+    gap = abs(intensities[-1] - intensities[-2])
+    return gap, bool(gap < tol), tol
+
+
 def intensity_sequence(wps: WeightedPointSet, boxes, xi) -> tuple[list[float], dict]:
     """|c^xi_B|^2 along a van Hove or Fisher box sequence, with convergence info.
 
@@ -91,16 +105,12 @@ def intensity_sequence(wps: WeightedPointSet, boxes, xi) -> tuple[list[float], d
                 "bounding box; generate a larger patch first"
             )
     intensities = [abs(fourier_average(wps, b, xi).value) ** 2 for b in boxes]
-    if len(intensities) > 1:
-        last_gap = abs(intensities[-1] - intensities[-2])
-    else:
-        last_gap = float("nan")
-    tol = 1e-3 * max(intensities[-1], 1e-6)
+    last_gap, converged, tol = _convergence(intensities)
     diagnostics = {
         "intensities": list(intensities),
         "last_gap": last_gap,
         "tol": tol,
-        "converged": bool(last_gap < tol),
+        "converged": converged,
     }
     return intensities, diagnostics
 
@@ -114,6 +124,7 @@ class AutocorrelationPatch:
     coefficients, reps one raw (unrounded) difference per bin, spreads the
     per-axis spread of raw differences that fell into the bin. Hermitian
     symmetry is structural: the bin at -q carries the conjugate coefficient.
+    They are built by sorting and reducing arrays of pair differences, not bin by bin.
     """
 
     keys: np.ndarray
@@ -128,19 +139,17 @@ class AutocorrelationPatch:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        keys = np.asarray(self.keys, dtype=np.int64)
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        reps = np.asarray(self.reps, dtype=float)
-        spreads = np.asarray(self.spreads, dtype=float)
-        n = len(keys)
-        if coeffs.shape != (n,) or reps.shape != keys.shape or spreads.shape != keys.shape:
+        keys, coeffs, reps, spreads = arrays = (
+            np.asarray(self.keys, dtype=np.int64),
+            np.asarray(self.coeffs, dtype=complex),
+            np.asarray(self.reps, dtype=float),
+            np.asarray(self.spreads, dtype=float),
+        )
+        if coeffs.shape != (len(keys),) or reps.shape != keys.shape or spreads.shape != keys.shape:
             raise ValidationError("inconsistent autocorrelation bin arrays")
-        for a in (keys, coeffs, reps, spreads):
+        for name, a in zip(("keys", "coeffs", "reps", "spreads"), arrays):
             a.setflags(write=False)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "spreads", spreads)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -152,7 +161,7 @@ class AutocorrelationPatch:
     @property
     def bins(self) -> dict:
         """Mapping {quantized difference tuple: coefficient}."""
-        return {tuple(int(v) for v in k): complex(c) for k, c in zip(self.keys, self.coeffs)}
+        return dict(zip(map(tuple, self.keys.tolist()), self.coeffs.tolist()))
 
     def max_bin_spread(self) -> float:
         """Largest per-axis spread of raw differences sharing a bin.
@@ -164,40 +173,45 @@ class AutocorrelationPatch:
         return float(self.spreads.max()) if len(self) else 0.0
 
 
-def _aggregate_bins(acc: dict, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray) -> None:
-    """Fold one batch of quantized pairs into the running bin dictionary.
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the key rows and the first row of each run of equal keys."""
+    order = np.lexsort(keys.T[::-1])
+    ks = keys[order]
+    return order, np.flatnonzero(np.r_[len(ks) > 0, np.any(ks[1:] != ks[:-1], axis=1)])
 
-    acc maps key tuple -> [complex sum, first raw diff, per-axis raw min,
-    per-axis raw max]. Batches arrive in a deterministic order, so the stored
-    representative (first raw difference seen) is reproducible.
+
+def _aggregate_bins(acc: list, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray) -> int:
+    """Append one batch of quantized pairs to acc as a run of bins, in key order.
+
+    A run holds each bin's key, pairwise sum of products, first raw difference
+    and per-axis raw minimum and maximum. Returns the number of bins.
     """
-    if len(qkeys) == 0:
-        return
-    order = np.lexsort(qkeys.T[::-1])
-    qs = qkeys[order]
-    ds = raw[order]
-    ps = prod[order]
-    change = np.any(qs[1:] != qs[:-1], axis=1)
-    starts = np.concatenate([[0], np.flatnonzero(change) + 1])
-    sums_r = np.add.reduceat(ps.real, starts)
-    sums_i = np.add.reduceat(ps.imag, starts)
-    mins = np.stack([np.minimum.reduceat(ds[:, j], starts) for j in range(ds.shape[1])], axis=1)
-    maxs = np.stack([np.maximum.reduceat(ds[:, j], starts) for j in range(ds.shape[1])], axis=1)
-    reps = ds[starts]
-    for i, s in enumerate(starts):
-        key = tuple(int(v) for v in qs[s])
-        entry = acc.get(key)
-        if entry is None:
-            acc[key] = [complex(sums_r[i], sums_i[i]), reps[i].copy(), mins[i].copy(), maxs[i].copy()]
-        else:
-            entry[0] += complex(sums_r[i], sums_i[i])
-            np.minimum(entry[2], mins[i], out=entry[2])
-            np.maximum(entry[3], maxs[i], out=entry[3])
-    if len(acc) > _BIN_BUDGET:
-        raise ResourceLimitError(
-            f"autocorrelation produced more than {_BIN_BUDGET} distinct difference "
-            "bins; truncate with max_radius or coarsen bin_epsilon"
-        )
+    order, starts = _group(qkeys)
+    ds, ps = raw[order], prod[order]
+    sums = np.column_stack([np.add.reduceat(ps.real, starts), np.add.reduceat(ps.imag, starts)])
+    acc.append((qkeys[order[starts]], sums.view(complex).ravel(), ds[starts],
+                np.minimum.reduceat(ds, starts), np.maximum.reduceat(ds, starts)))
+    return len(starts)
+
+
+def _merge_runs(runs: list) -> tuple:
+    """Merge runs into one run of distinct bins, in order of first appearance.
+
+    Each bin's partial sums are added left to right in run order and its first
+    representative is kept, so merging merged runs again changes no bit.
+    """
+    keys, sums, reps, mins, maxs = map(np.concatenate, zip(*runs))
+    order, starts = _group(keys)
+    head = np.zeros(len(keys), dtype=bool)
+    head[starts] = True
+    ss = sums[order]
+    total = ss[starts]
+    np.add.at(total, np.cumsum(head)[~head] - 1, ss[~head])
+    first = order[starts]
+    seen = np.argsort(first)
+    return (keys[first[seen]], total[seen], reps[first[seen]],
+            np.minimum.reduceat(mins[order], starts)[seen],
+            np.maximum.reduceat(maxs[order], starts)[seen])
 
 
 def _quantize(raw: np.ndarray, eps: float) -> np.ndarray:
@@ -208,6 +222,38 @@ def _quantize(raw: np.ndarray, eps: float) -> np.ndarray:
             "the patch diameter"
         )
     return q.astype(np.int64)
+
+
+def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
+    """Yield (x_i - x_j, w_i conj(w_j)) batches: 1D by index offset, else kd-tree or dense blocks."""
+    n, dim = pts.shape
+    if n < 2:
+        return
+    if dim == 1:
+        x = pts[:, 0]
+        for off in range(1, n):
+            d = x[off:] - x[:-off]
+            keep = d <= (np.inf if max_radius is None else max_radius)
+            if not keep.any():
+                break
+            yield d[keep][:, None], w[off:][keep] * np.conj(w[:-off][keep])
+    elif max_radius is not None:
+        from scipy.spatial import cKDTree
+
+        pairs = cKDTree(pts).query_pairs(max_radius, output_type="ndarray")
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        for start in range(0, len(pairs), 2**20):
+            ij = pairs[start : start + 2**20]
+            yield pts[ij[:, 1]] - pts[ij[:, 0]], w[ij[:, 1]] * np.conj(w[ij[:, 0]])
+    else:
+        block = max(1, 2**21 // n)
+        for i0 in range(0, n, block):
+            i1 = min(i0 + block, n)
+            d = pts[None, i0:i1, :] - pts[:, None, :]  # d[j, i] = x_i - x_j
+            jj, ii = np.meshgrid(np.arange(n), np.arange(i0, i1), indexing="ij")
+            upper = ii > jj
+            d = d.reshape(n * (i1 - i0), dim)[upper.ravel()]
+            yield d, (w[ii] * np.conj(w[jj]))[upper]
 
 
 def autocorrelation(
@@ -226,9 +272,10 @@ def autocorrelation(
 
     bin_epsilon defaults to 1e-6 times the minimum separation and must stay
     below half the minimum separation so distinct points cannot share a bin.
-    In one dimension pairs are generated by sorted index offset, stopping once
-    the smallest gap at an offset exceeds max_radius; in higher dimensions a
-    spatial kd-tree query produces the pairs.
+    Each batch of pairs (_pair_batches) is sorted by bin key and reduced to a
+    run of bins held in arrays; one more sort merges the runs into the bins,
+    adding each bin's partial sums in batch order, before one lexsort lays
+    out the bins with their mirrors at -q.
     """
     if box.dim != wps.dim:
         raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
@@ -254,68 +301,38 @@ def autocorrelation(
             "pass max_radius to truncate"
         )
 
-    acc: dict = {}
-    if n > 1 and wps.dim == 1:
-        x = pts[:, 0]
-        for off in range(1, n):
-            d = x[off:] - x[:-off]
-            if max_radius is not None:
-                if d.min() > max_radius:
-                    break
-                keep = d <= max_radius
-                d = d[keep]
-                prod = w[off:][keep] * np.conj(w[:-off][keep])
-            else:
-                prod = w[off:] * np.conj(w[:-off])
-            _aggregate_bins(acc, _quantize(d[:, None], bin_epsilon), d[:, None], prod)
-    elif n > 1:
-        if max_radius is not None:
-            from scipy.spatial import cKDTree
+    dim, vol = wps.dim, box.volume
+    # start from an empty run, so that a patch without pairs merges to no bins
+    runs = [(np.zeros((0, dim), np.int64), np.zeros(0, complex), *np.zeros((3, 0, dim)))]
+    held = 0
+    for d, prod in _pair_batches(pts, w, max_radius):
+        held += _aggregate_bins(runs, _quantize(d, bin_epsilon), d, prod)
+        if held > _BIN_BUDGET:  # runs may repeat a bin: count the distinct ones
+            runs = [_merge_runs(runs)]
+            held = len(runs[0][0])
+            if held > _BIN_BUDGET:
+                raise ResourceLimitError(
+                    f"autocorrelation produced more than {_BIN_BUDGET} distinct difference "
+                    "bins; truncate with max_radius or coarsen bin_epsilon"
+                )
+    qkeys, sums, reps, rmin, rmax = _merge_runs(runs)
+    # Python's complex / float (before 3.14), signed zeros included; mirrors use numpy's division
+    re, im = sums.real, sums.imag
+    coeffs = (np.column_stack([re + im * 0.0, im - re * 0.0]) / vol).view(complex).ravel()
 
-            pairs = cKDTree(pts).query_pairs(max_radius, output_type="ndarray")
-            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-            for start in range(0, len(pairs), 2**20):
-                ij = pairs[start : start + 2**20]
-                d = pts[ij[:, 1]] - pts[ij[:, 0]]
-                prod = w[ij[:, 1]] * np.conj(w[ij[:, 0]])
-                _aggregate_bins(acc, _quantize(d, bin_epsilon), d, prod)
-        else:
-            block = max(1, 2**21 // n)
-            for i0 in range(0, n, block):
-                i1 = min(i0 + block, n)
-                d = pts[None, i0:i1, :] - pts[:, None, :]  # d[j, i] = x_i - x_j
-                jj, ii = np.meshgrid(np.arange(n), np.arange(i0, i1), indexing="ij")
-                upper = ii > jj
-                d = d.reshape(n * (i1 - i0), wps.dim)[upper.ravel()]
-                prod = (w[ii] * np.conj(w[jj]))[upper]
-                _aggregate_bins(acc, _quantize(d, bin_epsilon), d, prod)
+    def layout(diag, pos, neg):  # diagonal, then bin, mirror, ...: the order coinciding keys keep
+        return np.concatenate([diag, np.stack([pos, neg], axis=1).reshape(-1, *pos.shape[1:])])
 
-    dim = wps.dim
-    m = len(acc)
-    keys = np.zeros((2 * m + 1, dim), dtype=np.int64)
-    coeffs = np.zeros(2 * m + 1, dtype=complex)
-    reps = np.zeros((2 * m + 1, dim))
-    spreads = np.zeros((2 * m + 1, dim))
-    vol = box.volume
+    origin = np.zeros((1, dim))
+    keys = layout(origin.astype(np.int64), qkeys, -qkeys)
+    order = np.lexsort(keys.T[::-1])
     # diagonal bin: ordered pairs (x, x) contribute |w_x|^2; no distinct pair
     # can land here because bin_epsilon < min_separation / 2
-    coeffs[0] = math.fsum(np.abs(w) ** 2) / vol
-    for i, (key, entry) in enumerate(acc.items()):
-        csum, rep, rmin, rmax = entry
-        keys[2 * i + 1] = key
-        coeffs[2 * i + 1] = csum / vol
-        reps[2 * i + 1] = rep
-        spreads[2 * i + 1] = rmax - rmin
-        keys[2 * i + 2] = tuple(-v for v in key)
-        coeffs[2 * i + 2] = np.conj(csum) / vol
-        reps[2 * i + 2] = -rep
-        spreads[2 * i + 2] = rmax - rmin
-    order = np.lexsort(keys.T[::-1])
     patch = AutocorrelationPatch(
         keys[order],
-        coeffs[order],
-        reps[order],
-        spreads[order],
+        layout([math.fsum(np.abs(w) ** 2) / vol], coeffs, np.conj(sums) / vol)[order],
+        layout(origin, reps, -reps)[order],
+        layout(origin, rmax - rmin, rmax - rmin)[order],
         float(bin_epsilon),
         vol,
         None if max_radius is None else float(max_radius),
@@ -424,7 +441,10 @@ def scan_spectrum(
     boxes = [box] if isinstance(box, Box) else list(box)
     if not boxes:
         raise ValidationError("need at least one averaging box")
-    xis = [_vector(x, dim=wps.dim, name="xi") for x in np.atleast_1d(np.asarray(xi_grid, dtype=float)).reshape(-1, wps.dim)]
+    grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
+    if grid.size % wps.dim:
+        raise ValidationError(f"{grid.size} frequency values do not form {wps.dim}-vectors")
+    xis = [_vector(x, dim=wps.dim, name="xi") for x in grid.reshape(-1, wps.dim)]
     if not xis:
         raise ValidationError("frequency grid is empty")
     if estimator not in ("fourier", "autocorr"):
@@ -445,42 +465,24 @@ def scan_spectrum(
 
     def evaluate(xi):
         vals = per_scale(xi)
-        gap = abs(vals[-1] - vals[-2]) if len(vals) > 1 else float("nan")
-        converged = bool(gap < 1e-3 * max(vals[-1], 1e-6)) if len(vals) > 1 else False
-        return SpectrumEntry(
-            tuple(float(v) for v in xi),
-            float(vals[-1]),
-            estimator,
-            tuple(float(v) for v in vals),
-            float(gap),
-            converged,
-            boxes[-1].volume,
-            counts[-1],
-        )
+        gap, converged, _ = _convergence(vals)
+        return SpectrumEntry(tuple(float(v) for v in xi), float(vals[-1]), estimator,
+                             tuple(float(v) for v in vals), float(gap), converged,
+                             boxes[-1].volume, counts[-1])
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(xis))) as pool:
             entries = list(pool.map(evaluate, xis))
     else:
         entries = [evaluate(xi) for xi in xis]
     return Spectrum(tuple(entries))
 
 
-class Peak(tuple):
+class Peak(NamedTuple):
     """Located Bragg peak (xi, intensity); xi is scalar for 1D spectra."""
 
-    __slots__ = ()
-
-    def __new__(cls, xi, intensity):
-        return tuple.__new__(cls, (xi, intensity))
-
-    @property
-    def xi(self):
-        return self[0]
-
-    @property
-    def intensity(self):
-        return self[1]
+    xi: float
+    intensity: float
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:
@@ -518,12 +520,8 @@ def find_peaks(sp: Spectrum, floor: float, refine=None, tol: float = 1e-8) -> li
     xs = sp.xi_array()[:, 0]
     ys = sp.intensity_array()
     n = len(xs)
-    peaks = []
-    for i in range(n):
-        left = ys[i - 1] if i > 0 else -np.inf
-        right = ys[i + 1] if i < n - 1 else -np.inf
-        if ys[i] > left and ys[i] >= right and ys[i] >= floor:
-            peaks.append(i)
+    left, right = np.r_[-np.inf, ys[:-1]], np.r_[ys[1:], -np.inf]
+    peaks = np.flatnonzero((ys > left) & (ys >= right) & (ys >= floor))
     out = []
     for i in peaks:
         if refine is None:

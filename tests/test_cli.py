@@ -313,3 +313,59 @@ class TestCheck:
 
     def test_needs_word_source(self, capsys):
         assert run("check", "lr", "--radii", "1..4") == 2
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "lr", "--rules", "fibonacci", "--length", "100", "--radii", "1..x"],
+            ["diffract", "scan", "--input", "{lattice}", "--box", "0,2000", "--xi", "a:b:c"],
+            ["diffract", "scan", "--input", "{lattice2d}", "--box", "0,0;3,3", "--xi", "1,2,3"],
+            ["predict", "perturbed", "--model", "percolation:q=0.5", "--base-spectrum", "{tmp}/base.csv"],
+            ["gen", "substitution", "--rules", "fibonacci", "--length", "10", "--lengths", "a=x,b=1"],
+            ["ww", "--word-file", "{tmp}/missing.txt", "--alpha", "0.1", "--lengths", "10"],
+            ["gen", "substitution", "--rules", "{no_lengths}", "--length", "10"],
+            ["perturb", "displace", "--input", "{lattice}", "--dist", "uniform_interval:a=x", "--seed", "1"],
+            ["predict", "perturbed", "--model", "percolation:p=0.5", "--base-spectrum", "{tmp}/base.csv"],
+            ["ww", "--rules", "fibonacci", "--alpha", "0.1", "--lengths", "10", "--f", "{no_lengths}"],
+            ["ww", "--rules", "fibonacci", "--alpha", "0.1", "--lengths", "10", "--f", "{no_table}"],
+        ],
+        ids=["radii", "grid", "grid-2d", "model", "tile-lengths", "word-file",
+             "substitution-json", "dist", "base-spectrum", "observable-json", "observable-table"],
+    )
+    def test_bad_input_exit_code(self, argv, tmp_path, lattice_file, capsys):
+        lattice2d = tmp_path / "lattice2d.json"
+        assert run("gen", "lattice", "--dim", "2", "--box", "0,0;3,3", "--output", str(lattice2d)) == 0
+        no_lengths = tmp_path / "rules.json"
+        no_lengths.write_text(json.dumps(
+            {"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}, "seed": "a"}
+        ))
+        no_table = tmp_path / "observable.json"
+        no_table.write_text(json.dumps({"locality": 1}))
+        files = {"lattice": lattice_file, "lattice2d": lattice2d, "tmp": tmp_path,
+                 "no_lengths": no_lengths, "no_table": no_table}
+        assert run(*(a.format(**files) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_grid_cap_exit_code(self, lattice_file, capsys):
+        assert run(
+            "diffract", "scan", "--input", str(lattice_file),
+            "--box", "0,2000", "--xi", "0:3:1e-12",
+        ) == 3
+        assert "resource limit" in capsys.readouterr().err
+
+    def test_bin_budget_exit_code(self, tmp_path, monkeypatch, capsys):
+        from quasidiff import diffraction
+
+        path = tmp_path / "lattice.json"
+        assert run("gen", "lattice", "--box", "0,30", "--output", str(path)) == 0
+        # 30 points spaced 1 have 29 distinct positive differences
+        monkeypatch.setattr(diffraction, "_BIN_BUDGET", 28)
+        assert run(
+            "diffract", "scan", "--input", str(path), "--box", "0,30",
+            "--xi", "0,0.5", "--estimator", "autocorr",
+        ) == 3
+        assert "resource limit" in capsys.readouterr().err

@@ -146,6 +146,37 @@ class TestAutocorrelation:
         assert patch.bins[(0, q1)] == pytest.approx(20.0 / 25.0)
         assert patch.bins[(q1, q1)] == pytest.approx(16.0 / 25.0)
 
+    def test_coinciding_bins_keep_first_seen_order(self):
+        # (35, 5) nudged below x = 35 sorts before (35, 0), so that pair gives
+        # the negative key (0, -5/eps), in the second block of pairs; its mirror
+        # coincides with the bin (0, 5/eps) of the first block, which stays first
+        pts = np.stack(np.meshgrid(np.arange(40.0), np.arange(40.0), indexing="ij"), -1).reshape(-1, 2)
+        pts[35 * 40 + 5, 0] -= 1e-13
+        patch = autocorrelation(WeightedPointSet(2, pts), Box([-1.0, -1.0], [41.0, 41.0]))
+        q = round(5.0 / patch.bin_epsilon)
+        rows = np.flatnonzero((patch.keys == [0, q]).all(axis=1))
+        assert len(rows) == 2
+        assert patch.reps[rows[0]].tolist() == [0.0, 5.0]
+        assert patch.reps[rows[1]][0] < 0.0
+
+    def test_bin_budget(self, monkeypatch):
+        from quasidiff import ResourceLimitError, diffraction
+
+        # a diluted integer chain: every distance recurs at many index offsets,
+        # so the batches repeat bins and the budget forces merges along the way
+        x = np.flatnonzero(np.random.default_rng(0).random(300) < 0.5).astype(float)
+        wps = WeightedPointSet(1, x, np.exp(1j * x))
+        box = Box([0.0], [300.0])
+        ref = autocorrelation(wps, box)
+        distinct = (len(ref) - 1) // 2  # bins at q > 0; the rest mirror them
+        monkeypatch.setattr(diffraction, "_BIN_BUDGET", distinct)
+        patch = autocorrelation(wps, box)
+        for name in ("keys", "coeffs", "reps", "spreads"):
+            assert getattr(patch, name).tobytes() == getattr(ref, name).tobytes()
+        monkeypatch.setattr(diffraction, "_BIN_BUDGET", distinct - 1)
+        with pytest.raises(ResourceLimitError, match="distinct difference"):
+            autocorrelation(wps, box)
+
 
 class TestIntensityFromAutocorr:
     def test_averaging_box_near_prediction(self, fib_patch_big, fib_peaks):
@@ -166,6 +197,21 @@ class TestScanSpectrum:
         assert [e.xi[0] for e in sp.entries] == [0.1, 0.2, 0.3]
         assert len(sp) == 3
         assert sp.dim == 1
+
+    def test_pool_sized_to_grid(self, z100, monkeypatch):
+        from quasidiff import diffraction
+
+        sizes = []
+        real = diffraction.ThreadPoolExecutor
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers)
+
+        monkeypatch.setattr(diffraction, "ThreadPoolExecutor", pool)
+        sp = scan_spectrum(z100, Box([0.0], [100.0]), [0.1, 0.2, 0.3], threads=8)
+        assert sizes == [3]
+        assert len(sp) == 3
 
     def test_estimators_agree(self, z100):
         box = Box([0.0], [100.0])
