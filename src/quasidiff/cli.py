@@ -31,6 +31,7 @@ from .cutproject import (
     preset_scheme,
 )
 from .diffraction import (
+    _THREAD_CAP,
     Spectrum,
     SpectrumEntry,
     _convergence,
@@ -65,6 +66,7 @@ _CONFIG_EXCLUDE = {"func", "command", "subcommand", "threads", "output"}
 _GRID_CAP = 10**6
 # argparse reads a value starting with "-" as an option unless it is attached
 _BOX_HELP = "lo,hi or lo1,lo2;hi1,hi2 (write --box=-2,832 when lo is negative)"
+_THREADS_HELP = f"worker threads, 1 to {_THREAD_CAP}; output does not depend on it"
 
 
 def _fmt(x: float) -> str:
@@ -118,12 +120,12 @@ def _csv_envelope(args: argparse.Namespace, input_path: str | None) -> dict:
 
 @contextmanager
 def _invalid(what: str):
-    """Report a KeyError, ValueError or OSError raised inside as a ValidationError."""
+    """Report a KeyError, ValueError, OverflowError or OSError raised inside as a ValidationError."""
     try:
         yield
     except ValidationError:
         raise
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OverflowError, OSError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValidationError(f"{what}: {detail}") from exc
 
@@ -186,15 +188,16 @@ def _parse_radii(text: str) -> list[int]:
     return _parse_ints(text)
 
 
-def _parse_symbol_lengths(text: str) -> dict:
-    out = {}
+def _parse_params(text: str, what: str, convert=float) -> dict:
+    """`key=value,...` as {key: convert(value)}, keys stripped; what names an item in errors."""
+    fields = {}
     for item in text.split(","):
-        if "=" not in item:
-            raise ValidationError(f"tile lengths look like a=1.618,b=1; got {item!r}")
-        key, val = item.split("=", 1)
-        with _invalid(f"cannot parse tile length {item!r}"):
-            out[key.strip()] = float(val)
-    return out
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise ValidationError(f"{what} {item!r} must be key=value")
+        with _invalid(f"cannot parse {what} {item!r}"):
+            fields[key.strip()] = convert(val)
+    return fields
 
 
 def _parse_dist(text: str) -> DisplacementDist:
@@ -207,13 +210,7 @@ def _parse_dist(text: str) -> DisplacementDist:
             f"distribution spec {text!r} is neither kind:params nor an existing file"
         )
     kind, params = text.split(":", 1)
-    fields = {}
-    for item in params.split(","):
-        if "=" not in item:
-            raise ValidationError(f"distribution parameter {item!r} must be key=value")
-        key, val = item.split("=", 1)
-        with _invalid(f"cannot parse distribution parameter {item!r}"):
-            fields[key.strip()] = float(val)
+    fields = _parse_params(params, "distribution parameter")
     if kind in ("uniform_interval", "two_point"):
         if set(fields) != {"a"}:
             raise ValidationError(f"{kind} takes exactly the parameter a")
@@ -227,7 +224,7 @@ def _parse_model(text: str) -> RandomModel:
         if Path(text).is_file():
             return RandomModel.from_json(json.loads(Path(text).read_text()))
         if text.startswith("percolation:"):
-            fields = dict(item.split("=", 1) for item in text.split(":", 1)[1].split(","))
+            fields = _parse_params(text.split(":", 1)[1], "percolation parameter", str)
             return RandomModel("percolation", int(fields.get("seed", 0)), p=float(fields["p"]))
         if text.startswith("displacement:"):
             return RandomModel("displacement", 0, dist=_parse_dist(text.split(":", 1)[1]))
@@ -309,7 +306,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         s = _load_substitution(args)
         if args.lengths:
-            s = Substitution(s.alphabet, s.rules, _parse_symbol_lengths(args.lengths), s.seed)
+            s = Substitution(s.alphabet, s.rules, _parse_params(args.lengths, "tile length"), s.seed)
         word = substitution_fixed_point(s, args.length)[: args.length]
         wps = word_to_pointset(word, s.lengths, origin=args.origin)
         _write_pointset(wps, args, args.rules if Path(args.rules).is_file() else None)
@@ -336,13 +333,15 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         _emit(buf.getvalue(), args.output)
     elif args.subcommand == "peak":
         xi = np.array(_parse_vector(args.xi))
-        side0, growth, count = _parse_floats(args.vanhove)
+        with _invalid(f"--vanhove takes side0,growth,count, got {args.vanhove!r}"):
+            side0, growth, count = _parse_floats(args.vanhove)
+            count = int(count)
         if args.center is not None:
             center = _parse_vector(args.center)
         else:
             lo, hi = wps.bounding_box
             center = 0.5 * (lo + hi)
-        cubes = cube_sequence(VanHoveCubes(center, side0, growth, int(count)))
+        cubes = cube_sequence(VanHoveCubes(center, side0, growth, count))
         xi = _vector(xi, dim=wps.dim, name="xi")
         vals = scan_spectrum(wps, cubes, [xi], estimator=args.estimator).entries[0].intensities
         entries = []
@@ -424,6 +423,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_ww(args: argparse.Namespace) -> int:
     lengths = _parse_ints(args.lengths)
     offsets = _parse_ints(args.offsets)
+    if not lengths or not offsets:
+        raise ValidationError("--lengths and --offsets each need at least one integer")
     locality = 0
     if not args.f.startswith("indicator:") and Path(args.f).is_file():
         with _invalid(f"observable file {args.f}"):
@@ -532,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--box", required=True, help=_BOX_HELP)
     g.add_argument("--xi", required=True, help="start:stop:step or comma list")
     g.add_argument("--estimator", choices=("fourier", "autocorr"), default="fourier")
-    g.add_argument("--threads", type=int, default=1)
+    g.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     add_output(g)
     g.set_defaults(func=cmd_diffract)
     g = dif.add_parser("peak", help="per-scale convergence at one frequency")
@@ -550,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--floor", type=float, required=True)
     g.add_argument("--refine", action="store_true", help="golden-section polish")
     g.add_argument("--estimator", choices=("fourier", "autocorr"), default="fourier")
-    g.add_argument("--threads", type=int, default=1)
+    g.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     add_output(g)
     g.set_defaults(func=cmd_diffract)
 

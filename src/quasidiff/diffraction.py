@@ -30,11 +30,62 @@ from .pointset import WeightedPointSet, _min_separation_raw
 _PAIR_BUDGET = 5 * 10**8
 # hard ceiling on distinct difference bins (memory guard)
 _BIN_BUDGET = 10**7
+# most worker threads scan_spectrum will start
+_THREAD_CAP = 64
+# _exact_sum's bucket sums stay exact for fewer terms than this
+_EXACT_SUM_TERMS = 2**26
+# binary exponents (np.frexp) the buckets cover: below, a piece could go
+# subnormal; above, a sum of 2**26 terms could overflow
+_EXP_LO, _EXP_HI = -968, 960
+# terms per bucketing pass, which bounds the temporaries
+_EXACT_SUM_CHUNK = 2**16
+# scale of each bucket's piece: 2**(e - 27) for the high and the low half alike
+_PIECE_EXPONENTS = np.tile(np.arange(_EXP_LO, _EXP_HI + 1) - 27, 2)
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """Correctly rounded sum of a 1D float array, with the bits of math.fsum(x).
+
+    Each term is m 2**e (np.frexp, 0.5 <= |m| < 1), and t = m 2**27 splits
+    exactly into the integer H = trunc(t), below 2**27, and F = t - H, a
+    multiple of 2**-26 below 1. np.bincount adds H and F per exponent e. With
+    fewer than 2**26 terms every partial sum is an integer below 2**53 (H) or
+    a multiple of 2**-26 below 2**26 (F), so no addition rounds. The pieces
+    H_e 2**(e - 27) and F_e 2**(e - 27) are exact doubles summing to the exact
+    sum of x, which math.fsum rounds correctly. A correctly rounded sum has
+    one value, so it is math.fsum(x) bit for bit; a zero sum is +0.0 in both.
+    Empty, long (_EXACT_SUM_TERMS), non-finite, and very small or very large
+    input (exponents outside _EXP_LO.._EXP_HI) goes to math.fsum(x) itself,
+    with its result or its OverflowError or ValueError.
+    """
+    n = len(x)
+    if n == 0 or n >= _EXACT_SUM_TERMS:
+        return math.fsum(x)
+    width = _EXP_HI - _EXP_LO + 1
+    buckets = np.zeros(2 * width)
+    for start in range(0, n, _EXACT_SUM_CHUNK):
+        m, e = np.frexp(x[start : start + _EXACT_SUM_CHUNK])
+        if e.min() < _EXP_LO or e.max() > _EXP_HI:
+            return math.fsum(x)
+        e -= _EXP_LO
+        m *= 2.0**27
+        h = np.trunc(m)
+        high = np.bincount(e, h, width)
+        if not np.isfinite(high).all():  # inf or nan terms (frexp gives them e = 0)
+            return math.fsum(x)
+        buckets[:width] += high
+        buckets[width:] += np.bincount(e, np.subtract(m, h, out=m), width)
+    pieces = np.ldexp(buckets, _PIECE_EXPONENTS)
+    return math.fsum(pieces[pieces != 0].tolist())
 
 
 def _fsum_complex(z: np.ndarray) -> complex:
-    """Exactly rounded sum of a complex array (shewchuk accumulation)."""
-    return complex(math.fsum(z.real), math.fsum(z.imag))
+    """Correctly rounded sum of a 1D complex array, part by part (_exact_sum).
+
+    Each part is the exact sum rounded once, so the value does not depend on
+    the order of the terms and has the bits of math.fsum on that part.
+    """
+    return complex(_exact_sum(z.real), _exact_sum(z.imag))
 
 
 @dataclass(frozen=True)
@@ -50,9 +101,10 @@ class FourierAverage:
 def fourier_average(wps: WeightedPointSet, box: Box, xi) -> FourierAverage:
     """Volume-normalized Fourier sum of the patch restricted to the box.
 
-    Points enter in canonical (lexicographic) order and both real and
-    imaginary parts are accumulated with compensated summation, so the result
-    is reproducible bit for bit and satisfies |value| <= (sum |w| in box)/vol.
+    The real and imaginary parts of the phase terms are each summed exactly
+    and rounded once (_fsum_complex), so the value does not depend on the
+    order of the points or on the thread that computes it, is reproducible
+    bit for bit, and satisfies |value| <= (sum |w| in box)/vol.
     """
     if box.dim != wps.dim:
         raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
@@ -330,7 +382,7 @@ def autocorrelation(
     # can land here because bin_epsilon < min_separation / 2
     patch = AutocorrelationPatch(
         keys[order],
-        layout([math.fsum(np.abs(w) ** 2) / vol], coeffs, np.conj(sums) / vol)[order],
+        layout([_exact_sum(np.abs(w) ** 2) / vol], coeffs, np.conj(sums) / vol)[order],
         layout(origin, reps, -reps)[order],
         layout(origin, rmax - rmin, rmax - rmin)[order],
         float(bin_epsilon),
@@ -436,8 +488,13 @@ def scan_spectrum(
     box may be a single Box or an increasing sequence of boxes; with a
     sequence every entry records the per-scale intensities and the final gap.
     Entries are sorted by xi and independent of the thread count (threads is
-    a throughput hint; evaluations are read-only on shared arrays).
+    a throughput hint from 1 to _THREAD_CAP; evaluations are read-only on
+    shared arrays).
     """
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
+    if threads > _THREAD_CAP:
+        raise ResourceLimitError(f"{threads} threads requested, over {_THREAD_CAP}")
     boxes = [box] if isinstance(box, Box) else list(box)
     if not boxes:
         raise ValidationError("need at least one averaging box")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import Box, FisherFamily, fisher_boxes
+from .randomize import _rng
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def subadditive_limit(
         raise ValidationError("samples_per_scale must be at least 1")
     if (domain is None) == (word_length is None):
         raise ValidationError("pass exactly one of domain (box mode) or word_length")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = _rng(seed)
     per_scale = []
     if domain is not None:
         family = FisherFamily(1.0, domain.dim)

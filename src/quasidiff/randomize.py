@@ -149,6 +149,8 @@ class RandomModel:
 def _rng(seed: int) -> np.random.Generator:
     # Philox is counter-based: draw i of a size-n request is a pure function
     # of (seed, i), independent of any iteration schedule
+    if not 0 <= int(seed) < 2**64:
+        raise ValidationError("seed must fit an unsigned 64-bit integer")
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 

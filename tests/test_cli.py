@@ -1,9 +1,12 @@
 import hashlib
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasidiff import Box, WeightedPointSet, model_set, spectrum_from_csv
 from quasidiff.cli import main
@@ -369,3 +372,96 @@ class TestErrors:
             "--xi", "0,0.5", "--estimator", "autocorr",
         ) == 3
         assert "resource limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads, code", [("0", 2), ("-3", 2), ("65", 3)])
+    def test_thread_count_exit_code(self, threads, code, lattice_file, monkeypatch, capsys):
+        from quasidiff import diffraction
+
+        def no_pool(max_workers):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(diffraction, "ThreadPoolExecutor", no_pool)
+        assert diffraction._THREAD_CAP == 64
+        assert run(
+            "diffract", "scan", "--input", str(lattice_file),
+            "--box", "0,2000", "--xi", "0,0.5", "--threads", threads,
+        ) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# a small valid command per subcommand (None marks a flag); --output is left
+# out, since it would write files
+_COMMANDS = {
+    ("gen", "lattice"): {"--box": "0,10", "--dim": "1", "--spacing": "1"},
+    ("gen", "model-set"): {"--scheme": "fibonacci", "--box": "0,10", "--cap": "1000"},
+    ("gen", "substitution"): {"--rules": "fibonacci", "--length": "10", "--lengths": "a=1.6,b=1",
+                              "--origin": "0"},
+    ("perturb", "percolate"): {"--input": "{points}", "--p": "0.5", "--seed": "1"},
+    ("perturb", "displace"): {"--input": "{points}", "--dist": "uniform_interval:a=0.1", "--seed": "1"},
+    ("diffract", "scan"): {"--input": "{points}", "--box": "0,10", "--xi": "0:1:0.25",
+                           "--estimator": "autocorr", "--threads": "2"},
+    ("diffract", "peak"): {"--input": "{points}", "--xi": "0.5", "--vanhove": "2,1.5,3",
+                           "--center": "5", "--estimator": "fourier"},
+    ("diffract", "peaks"): {"--input": "{points}", "--box": "0,10", "--xi": "0:1:0.25",
+                            "--floor": "0.01", "--refine": None, "--estimator": "fourier"},
+    ("predict", "model-set"): {"--scheme": "fibonacci", "--range": "0,3", "--floor": "0.01",
+                               "--quad": "11"},
+    ("predict", "perturbed"): {"--model": "percolation:p=0.5", "--base-spectrum": "{spectrum}",
+                               "--n0": "1"},
+    ("ww",): {"--rules": "fibonacci", "--length": "50", "--alpha": "0.5", "--lengths": "5,10",
+              "--offsets": "0,1", "--f": "indicator:a"},
+    ("check", "lr"): {"--rules": "fibonacci", "--length": "200", "--radii": "1..3"},
+    ("check", "subadditive"): {"--input": "{points}", "--xi": "0.5", "--scales": "2,3",
+                               "--samples": "2", "--seed": "1", "--domain": "0,10"},
+}
+# malformed or small replacement values, so that no draw does much work
+_VALUES = [
+    "0", "1", "3", "-1", "2.5", "1e400", "nan", "inf", "x", "", ",", ";", "=", "0,10", "2,8",
+    "0,0;3,3", "--box=-2,8", "0:1:0.25", "a:b:c", "1..3", "1..x", "3..1", "0.5;0.5", "1,1.5,2",
+    "2,1.5,inf", "fibonacci", "silver", "indicator:z", "fourier", "percolation:q",
+    "percolation:p=0.5,seed=1.5", "displacement:uniform_interval:a=0.1", "two_point:a", "a=x",
+    "{points}", "{missing}", "{garbage}", "{spectrum}",
+]
+
+
+@st.composite
+def _malformed_argv(draw):
+    """A valid command with options dropped, repeated or given garbage values."""
+    path = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = list(path[: draw(st.integers(1, len(path)))])
+    options = _COMMANDS[path]
+    for opt, val in options.items():
+        action = draw(st.sampled_from(["keep", "keep", "drop", "garbage"]))
+        if action == "drop":
+            continue
+        argv.append(opt)
+        if action == "garbage":
+            argv.append(draw(st.sampled_from(_VALUES)))
+        elif val is not None:
+            argv.append(val)
+    argv += draw(st.lists(st.sampled_from(list(options) + _VALUES), max_size=2))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli")
+    files = {"points": tmp / "points.json", "missing": tmp / "missing.json",
+             "garbage": tmp / "garbage.json", "spectrum": tmp / "spectrum.csv"}
+    assert run("gen", "lattice", "--box", "0,10", "--output", str(files["points"])) == 0
+    files["garbage"].write_text("{not json")
+    assert run("diffract", "scan", "--input", str(files["points"]), "--box", "0,10",
+               "--xi", "0,0.5", "--output", str(files["spectrum"])) == 0
+    return files
+
+
+class TestContract:
+    @given(argv=_malformed_argv())
+    @settings(max_examples=100, deadline=None)
+    def test_malformed_argv_exit_codes(self, cli_files, argv):
+        argv = [a.format(**cli_files) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err.getvalue()

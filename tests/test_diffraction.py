@@ -1,8 +1,11 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasidiff import (
     Box,
@@ -70,6 +73,95 @@ class TestFourierAverage:
         wps = WeightedPointSet(1, [0.25])
         fa = fourier_average(wps, Box([0.0], [1.0]), [1.0])
         assert fa.value == pytest.approx(-1j, abs=1e-15)
+
+
+def _sum_or_error(sum_parts, z):
+    try:
+        return tuple(v.hex() for v in sum_parts(z))
+    except (OverflowError, ValueError) as exc:
+        return repr(exc)
+
+
+def _fsum_parts(z):
+    return math.fsum(z.real.tolist()), math.fsum(z.imag.tolist())
+
+
+def _kernel_parts(z):
+    from quasidiff.diffraction import _fsum_complex
+
+    s = _fsum_complex(z)
+    return s.real, s.imag
+
+
+def _complex(re, im):
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im  # keeps signed zeros, which complex arithmetic may not
+    return z
+
+
+_TINY, _HUGE = 2.2250738585072014e-308, 1.7976931348623157e308  # smallest normal, largest double
+_terms = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-300, 300)),
+    st.floats(-_TINY, _TINY),  # subnormals and zeros
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, math.inf, -math.inf, math.nan]),
+    st.floats(1e308, _HUGE),
+    st.floats(-_HUGE, -1e308),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _term_arrays(draw):
+    """Complex arrays whose parts mix spread exponents, cancelling pairs and special values."""
+    re = draw(st.lists(_terms, max_size=12))
+    if draw(st.booleans()):  # heavy cancellation: [a, b, ..., -b, -a] around small terms
+        re = re + draw(st.lists(_terms, max_size=3)) + [-v for v in re[::-1]]
+    im = draw(st.lists(_terms, min_size=len(re), max_size=len(re)))
+    if draw(st.booleans()):
+        im = draw(st.sampled_from([[0.0] * len(re), [-0.0] * len(re), im[::-1]]))
+    return _complex(re, im)
+
+
+class TestExactSum:
+    """_fsum_complex returns the bits (or the exception) of math.fsum on each part."""
+
+    @given(_term_arrays(), st.sampled_from([1, 2, 3, 2**16]))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_fsum(self, z, chunk):
+        from quasidiff import diffraction
+
+        with mock.patch.object(diffraction, "_EXACT_SUM_CHUNK", chunk):
+            assert _sum_or_error(_kernel_parts, z) == _sum_or_error(_fsum_parts, z)
+
+    @pytest.mark.parametrize("terms", [
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324], [1.0, -1.0], [2.5],
+        [1e16, 1.0, -1e16, 1.0, 1e-16], [1.7e308, 1.7e308, -1.7e308], [1.7e308, -1.7e308, 1.7e308],
+        [math.inf, -math.inf], [math.nan, 1.0], [1e300, 1e-300, -1e300],
+    ])
+    def test_edge_cases(self, terms):
+        z = _complex(terms, [-v for v in terms])
+        assert _sum_or_error(_kernel_parts, z) == _sum_or_error(_fsum_parts, z)
+
+    def test_long_cancelling_sum(self):
+        # several chunks; the bulk cancels exactly and leaves the tiny terms
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(100_000) * 2.0 ** rng.integers(-60, 60, 100_000)
+        re = np.r_[x, rng.standard_normal(100) * 1e-30, -x[::-1]]
+        z = _complex(re, rng.permutation(re) * 3.0)
+        assert _sum_or_error(_kernel_parts, z) == _sum_or_error(_fsum_parts, z)
+
+    def test_term_cap_falls_back(self, monkeypatch):
+        from quasidiff import diffraction
+
+        def no_buckets(*args, **kwargs):
+            raise AssertionError("bucketed")
+
+        monkeypatch.setattr(diffraction, "_EXACT_SUM_TERMS", 4)
+        monkeypatch.setattr(np, "bincount", no_buckets)
+        x = np.array([1e16, 1.0, -1e16, 3.0])
+        assert diffraction._exact_sum(x) == math.fsum(x)  # n at the cap: math.fsum
+        with pytest.raises(AssertionError, match="bucketed"):
+            diffraction._exact_sum(x[:3])  # below it: the buckets
 
 
 class TestIntensitySequence:
@@ -245,6 +337,19 @@ class TestScanSpectrum:
     def test_unknown_estimator(self, z100):
         with pytest.raises(ValidationError, match="estimator"):
             scan_spectrum(z100, Box([0.0], [100.0]), [[0.0]], estimator="fft")
+
+    def test_thread_count_bounds(self, z100, monkeypatch):
+        from quasidiff import ResourceLimitError, diffraction
+
+        def no_pool(max_workers):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(diffraction, "ThreadPoolExecutor", no_pool)
+        box = Box([0.0], [100.0])
+        with pytest.raises(ValidationError, match="threads"):
+            scan_spectrum(z100, box, [0.1, 0.2], threads=0)
+        with pytest.raises(ResourceLimitError, match="threads"):
+            scan_spectrum(z100, box, [0.1, 0.2], threads=diffraction._THREAD_CAP + 1)
 
 
 def _toy_spectrum(xs, ys):
