@@ -66,7 +66,10 @@ _CONFIG_EXCLUDE = {"func", "command", "subcommand", "threads", "output"}
 _GRID_CAP = 10**6
 # argparse reads a value starting with "-" as an option unless it is attached
 _BOX_HELP = "lo,hi or lo1,lo2;hi1,hi2 (write --box=-2,832 when lo is negative)"
-_THREADS_HELP = f"worker threads, 1 to {_THREAD_CAP}; output does not depend on it"
+_THREADS_HELP = (
+    f"worker threads, 1 to {_THREAD_CAP} (64, or the core count if higher); "
+    "output does not depend on it"
+)
 
 
 def _fmt(x: float) -> str:
@@ -188,15 +191,22 @@ def _parse_radii(text: str) -> list[int]:
     return _parse_ints(text)
 
 
-def _parse_params(text: str, what: str, convert=float) -> dict:
-    """`key=value,...` as {key: convert(value)}, keys stripped; what names an item in errors."""
+def _parse_params(
+    text: str, what: str, malformed: str = "{what} {item} must be key=value",
+    convert=float, strip: bool = True,
+) -> dict:
+    """`key=value,...` as {key: convert(value)}; keys are stripped unless strip is false.
+
+    what names an item in conversion errors; malformed is the message for an
+    item without `=`, with fields {what} and {item}.
+    """
     fields = {}
     for item in text.split(","):
         key, eq, val = item.partition("=")
         if not eq:
-            raise ValidationError(f"{what} {item!r} must be key=value")
+            raise ValidationError(malformed.format(what=what, item=repr(item)))
         with _invalid(f"cannot parse {what} {item!r}"):
-            fields[key.strip()] = convert(val)
+            fields[key.strip() if strip else key] = convert(val)
     return fields
 
 
@@ -224,7 +234,9 @@ def _parse_model(text: str) -> RandomModel:
         if Path(text).is_file():
             return RandomModel.from_json(json.loads(Path(text).read_text()))
         if text.startswith("percolation:"):
-            fields = _parse_params(text.split(":", 1)[1], "percolation parameter", str)
+            fields = _parse_params(
+                text.split(":", 1)[1], "percolation parameter", convert=str, strip=False
+            )
             return RandomModel("percolation", int(fields.get("seed", 0)), p=float(fields["p"]))
         if text.startswith("displacement:"):
             return RandomModel("displacement", 0, dist=_parse_dist(text.split(":", 1)[1]))
@@ -306,7 +318,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         s = _load_substitution(args)
         if args.lengths:
-            s = Substitution(s.alphabet, s.rules, _parse_params(args.lengths, "tile length"), s.seed)
+            lengths = _parse_params(
+                args.lengths, "tile length", "tile lengths look like a=1.618,b=1; got {item}"
+            )
+            s = Substitution(s.alphabet, s.rules, lengths, s.seed)
         word = substitution_fixed_point(s, args.length)[: args.length]
         wps = word_to_pointset(word, s.lengths, origin=args.origin)
         _write_pointset(wps, args, args.rules if Path(args.rules).is_file() else None)

@@ -15,6 +15,7 @@ suite. Frequencies follow the character (xi, x) = exp(2 pi i xi.x).
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,17 +31,13 @@ from .pointset import WeightedPointSet, _min_separation_raw
 _PAIR_BUDGET = 5 * 10**8
 # hard ceiling on distinct difference bins (memory guard)
 _BIN_BUDGET = 10**7
-# most worker threads scan_spectrum will start
-_THREAD_CAP = 64
+# most worker threads scan_spectrum will start: 64, or the core count if higher
+_THREAD_CAP = max(64, os.cpu_count() or 1)
 # _exact_sum's bucket sums stay exact for fewer terms than this
 _EXACT_SUM_TERMS = 2**26
-# binary exponents (np.frexp) the buckets cover: below, a piece could go
+# binary exponents (np.frexp) _exact_sum buckets: below, a piece could go
 # subnormal; above, a sum of 2**26 terms could overflow
 _EXP_LO, _EXP_HI = -968, 960
-# terms per bucketing pass, which bounds the temporaries
-_EXACT_SUM_CHUNK = 2**16
-# scale of each bucket's piece: 2**(e - 27) for the high and the low half alike
-_PIECE_EXPONENTS = np.tile(np.arange(_EXP_LO, _EXP_HI + 1) - 27, 2)
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -58,25 +55,21 @@ def _exact_sum(x: np.ndarray) -> float:
     input (exponents outside _EXP_LO.._EXP_HI) goes to math.fsum(x) itself,
     with its result or its OverflowError or ValueError.
     """
-    n = len(x)
-    if n == 0 or n >= _EXACT_SUM_TERMS:
+    if len(x) == 0 or len(x) >= _EXACT_SUM_TERMS:
         return math.fsum(x)
-    width = _EXP_HI - _EXP_LO + 1
-    buckets = np.zeros(2 * width)
-    for start in range(0, n, _EXACT_SUM_CHUNK):
-        m, e = np.frexp(x[start : start + _EXACT_SUM_CHUNK])
-        if e.min() < _EXP_LO or e.max() > _EXP_HI:
-            return math.fsum(x)
-        e -= _EXP_LO
-        m *= 2.0**27
-        h = np.trunc(m)
-        high = np.bincount(e, h, width)
-        if not np.isfinite(high).all():  # inf or nan terms (frexp gives them e = 0)
-            return math.fsum(x)
-        buckets[:width] += high
-        buckets[width:] += np.bincount(e, np.subtract(m, h, out=m), width)
-    pieces = np.ldexp(buckets, _PIECE_EXPONENTS)
-    return math.fsum(pieces[pieces != 0].tolist())
+    m, e = np.frexp(x)
+    lo, hi = int(e.min()), int(e.max())
+    if lo < _EXP_LO or hi > _EXP_HI:
+        return math.fsum(x)
+    e -= lo
+    m *= 2.0**27
+    h = np.trunc(m)
+    high = np.bincount(e, h)
+    if not np.isfinite(high).all():  # inf or nan terms (frexp gives them e = 0)
+        return math.fsum(x)
+    low = np.bincount(e, np.subtract(m, h, out=m))
+    scale = np.arange(lo - 27, hi - 26)
+    return math.fsum(np.ldexp(high, scale).tolist() + np.ldexp(low, scale).tolist())
 
 
 def _fsum_complex(z: np.ndarray) -> complex:

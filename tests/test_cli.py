@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -353,6 +354,29 @@ class TestErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["gen", "substitution", "--lengths", " a = 2, b=1"], 0, ""),
+            (["gen", "substitution", "--lengths", "a=2,x"], 2,
+             "error: tile lengths look like a=1.618,b=1; got 'x'"),
+            (["perturb", "displace", "--dist", "two_point: a =0.25"], 0, ""),
+            (["perturb", "displace", "--dist", "two_point:a"], 2,
+             "error: distribution parameter 'a' must be key=value"),
+            # percolation keys are not stripped
+            (["predict", "perturbed", "--model", "percolation: p=0.5"], 2, "missing key 'p'"),
+        ],
+        ids=["lengths", "lengths-no-eq", "dist", "dist-no-eq", "percolation-space"],
+    )
+    def test_key_value_lists(self, argv, code, message, tmp_path, lattice_file, capsys):
+        extra = {
+            "gen": ["--rules", "fibonacci", "--length", "10"],
+            "perturb": ["--input", str(lattice_file), "--seed", "1"],
+            "predict": ["--base-spectrum", str(tmp_path / "base.csv")],
+        }[argv[0]]
+        assert run(*argv, *extra, "--output", str(tmp_path / "out")) == code
+        assert message in capsys.readouterr().err
+
     def test_grid_cap_exit_code(self, lattice_file, capsys):
         assert run(
             "diffract", "scan", "--input", str(lattice_file),
@@ -373,7 +397,7 @@ class TestErrors:
         ) == 3
         assert "resource limit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads, code", [("0", 2), ("-3", 2), ("65", 3)])
+    @pytest.mark.parametrize("threads, code", [(0, 2), (-3, 2), ("cap+1", 3)])
     def test_thread_count_exit_code(self, threads, code, lattice_file, monkeypatch, capsys):
         from quasidiff import diffraction
 
@@ -381,10 +405,13 @@ class TestErrors:
             raise AssertionError("pool started")
 
         monkeypatch.setattr(diffraction, "ThreadPoolExecutor", no_pool)
-        assert diffraction._THREAD_CAP == 64
+        # never below the core count, so `--threads <cores>` (C9) stays valid
+        assert diffraction._THREAD_CAP == max(64, os.cpu_count() or 1)
+        if threads == "cap+1":
+            threads = diffraction._THREAD_CAP + 1
         assert run(
             "diffract", "scan", "--input", str(lattice_file),
-            "--box", "0,2000", "--xi", "0,0.5", "--threads", threads,
+            "--box", "0,2000", "--xi", "0,0.5", "--threads", str(threads),
         ) == code
         assert "Traceback" not in capsys.readouterr().err
 
