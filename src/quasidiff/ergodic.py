@@ -255,24 +255,50 @@ def subadditive_limit(
     )
 
 
-def _factor_hashes(codes: np.ndarray, r: int, base: np.uint64) -> np.ndarray:
-    """Position-normalized rolling hashes of every length-r factor (mod 2^64).
+def _hash_tables(codes: np.ndarray, base: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums P[i] = sum_{t<i} codes[t] base^t and inverse powers base^-i (mod 2^64).
 
-    H[i] = sum_t codes[i+t] base^t; computed from prefix sums of codes[t]
-    base^t and renormalized with the modular inverse of base (odd, hence
-    invertible mod 2^64). Unsigned wraparound does the modular reduction.
+    They depend only on the word and the base, so every radius shares them.
+    base is odd, hence invertible mod 2^64; unsigned wraparound does the
+    modular reduction.
     """
     n = len(codes)
-    powers = np.ones(n + 1, dtype=np.uint64)
+    powers = np.ones(n, dtype=np.uint64)
     powers[1:] = base
-    powers = np.cumprod(powers, dtype=np.uint64)
     prefix = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(codes * powers[:n], dtype=np.uint64, out=prefix[1:])
-    raw = prefix[r:] - prefix[: n - r + 1]
-    inv = np.uint64(pow(int(base), -1, 2**64))
-    invpow = np.ones(n - r + 1, dtype=np.uint64)
-    invpow[1:] = inv
-    return raw * np.cumprod(invpow, dtype=np.uint64)
+    np.cumsum(codes * np.cumprod(powers, dtype=np.uint64), dtype=np.uint64, out=prefix[1:])
+    invpow = np.ones(n, dtype=np.uint64)
+    invpow[1:] = np.uint64(pow(int(base), -1, 2**64))
+    return prefix, np.cumprod(invpow, dtype=np.uint64)
+
+
+def _factor_hashes(tables: tuple[np.ndarray, np.ndarray], r: int) -> np.ndarray:
+    """Position-normalized rolling hashes of every length-r factor (mod 2^64).
+
+    H[i] = sum_t codes[i+t] base^t = (P[i+r] - P[i]) base^-i, from the
+    _hash_tables of one base.
+    """
+    prefix, invpow = tables
+    m = len(prefix) - r
+    h = prefix[r:] - prefix[:m]
+    h *= invpow[:m]
+    return h
+
+
+def _max_gap(h0: np.ndarray, h1: np.ndarray, letters: int, r: int) -> int:
+    """Largest gap between consecutive starts of equal length-r factors, or
+    from a word end to a factor's first or last start; factors are equal when
+    both hashes are."""
+    # lexsort is stable, so the starts of equal factors stay increasing
+    starts = np.lexsort((h1, h0))
+    same = np.ones(len(starts) - 1, dtype=bool)
+    for h in (h0, h1):
+        hs = h[starts]
+        same &= hs[1:] == hs[:-1]
+    gaps = [int(np.diff(starts)[same].max())] if same.any() else []
+    gaps.append(int(starts[np.concatenate([[True], ~same])].max()))
+    gaps.append(int((letters - r - starts[np.concatenate([~same, [True]])]).max()))
+    return max(gaps)
 
 
 def check_linear_repetitivity(word: str, radii) -> dict:
@@ -298,24 +324,10 @@ def check_linear_repetitivity(word: str, radii) -> dict:
     # odd 64-bit multipliers (splitmix64 increments); independence of the two
     # hash streams is what makes collisions negligible
     bases = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
-    constants = []
-    for r in radii:
-        h = np.stack([_factor_hashes(codes, r, b) for b in bases], axis=1)
-        starts = np.arange(len(h), dtype=np.int64)
-        order = np.lexsort((starts, h[:, 1], h[:, 0]))
-        hs = h[order]
-        ss = starts[order]
-        same = np.all(hs[1:] == hs[:-1], axis=1)
-        gaps = []
-        if len(ss) > 1:
-            d = ss[1:] - ss[:-1]
-            if np.any(same):
-                gaps.append(int(d[same].max()))
-        group_start = np.concatenate([[True], ~same])
-        group_end = np.concatenate([~same, [True]])
-        firsts = ss[group_start]
-        lasts = ss[group_end]
-        gaps.append(int(firsts.max()))
-        gaps.append(int((len(word) - r - lasts).max()))
-        constants.append(max(gaps) / r)
+    tables = [_hash_tables(codes, b) for b in bases]
+    # one _max_gap call per radius frees its arrays before the next radius
+    # makes its own, so repeated calls reach the same peak memory
+    constants = [
+        _max_gap(*(_factor_hashes(t, r) for t in tables), len(word), r) / r for r in radii
+    ]
     return {"constants": constants, "C_estimate": float(max(constants))}

@@ -207,6 +207,22 @@ class TestLinearRepetitivity:
         out = check_linear_repetitivity(word, [4, 8, 16])
         assert out["constants"][-1] > 4 * out["constants"][0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(alphabet="abc", min_size=4, max_size=300))
+    def test_constants_match_a_dictionary_scan(self, word):
+        radii = list(range(1, len(word) // 4 + 1))
+        want = []
+        for r in radii:
+            starts = {}
+            for i in range(len(word) - r + 1):
+                starts.setdefault(word[i : i + r], []).append(i)
+            gap = max(
+                max(s[0], len(word) - r - s[-1], *(b - a for a, b in zip(s, s[1:])))
+                for s in starts.values()
+            )
+            want.append(gap / r)
+        assert check_linear_repetitivity(word, radii)["constants"] == want
+
     def test_word_too_short(self):
         with pytest.raises(ValidationError, match="adequacy"):
             check_linear_repetitivity("ab" * 10, [10])
