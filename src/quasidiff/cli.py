@@ -64,6 +64,8 @@ from .randomize import DisplacementDist, RandomModel, displace, percolate, predi
 _CONFIG_EXCLUDE = {"func", "command", "subcommand", "threads", "output"}
 # most frequencies a start:stop:step grid may expand to
 _GRID_CAP = 10**6
+# most van Hove cubes --vanhove may ask for (at growth 1.01 the last is ~2e4 side0)
+_CUBE_CAP = 1000
 # argparse reads a value starting with "-" as an option unless it is attached
 _BOX_HELP = "lo,hi or lo1,lo2;hi1,hi2 (write --box=-2,832 when lo is negative)"
 _THREADS_HELP = (
@@ -109,7 +111,9 @@ def _emit(text: str, output: str | None) -> None:
 def _emit_json(payload: dict, args: argparse.Namespace, input_path: str | None = None) -> None:
     obj = dict(_envelope(args, input_path))
     obj.update(payload)
-    _emit(json.dumps(obj, sort_keys=True, indent=1) + "\n", args.output)
+    with _invalid("output has a non-finite number"):
+        text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+    _emit(text + "\n", args.output)
 
 
 def _csv_envelope(args: argparse.Namespace, input_path: str | None) -> dict:
@@ -287,9 +291,10 @@ def _resolve_word(args: argparse.Namespace, min_letters: int = 1) -> tuple[str, 
     raise ValidationError("pass either --word-file or --rules (with --length)")
 
 
-def _parse_observable(text: str, word: str) -> Observable:
+def _parse_observable(text: str) -> Observable | None:
+    """The observable in a JSON file, or None for indicator:<symbol> (built from the word)."""
     if text.startswith("indicator:"):
-        return Observable.indicator(text.split(":", 1)[1], sorted(set(word)))
+        return None
     if Path(text).is_file():
         with _invalid(f"observable file {text}"):
             obj = json.loads(Path(text).read_text())
@@ -351,6 +356,8 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         with _invalid(f"--vanhove takes side0,growth,count, got {args.vanhove!r}"):
             side0, growth, count = _parse_floats(args.vanhove)
             count = int(count)
+        if count > _CUBE_CAP:
+            raise ResourceLimitError(f"--vanhove asks for {count} cubes, over {_CUBE_CAP}")
         if args.center is not None:
             center = _parse_vector(args.center)
         else:
@@ -440,14 +447,12 @@ def cmd_ww(args: argparse.Namespace) -> int:
     offsets = _parse_ints(args.offsets)
     if not lengths or not offsets:
         raise ValidationError("--lengths and --offsets each need at least one integer")
-    locality = 0
-    if not args.f.startswith("indicator:") and Path(args.f).is_file():
-        with _invalid(f"observable file {args.f}"):
-            locality = int(json.loads(Path(args.f).read_text())["locality"])
+    f = _parse_observable(args.f)
     word, hash_path = _resolve_word(
-        args, min_letters=max(lengths) + max(offsets) + 2 * locality
+        args, min_letters=max(lengths) + max(offsets) + 2 * (f.locality if f else 0)
     )
-    f = _parse_observable(args.f, word)
+    if f is None:
+        f = Observable.indicator(args.f.split(":", 1)[1], sorted(set(word)))
     report = ww_report(word, f, args.alpha, lengths, offsets)
     _emit_json(report.to_json(), args, hash_path)
     return 0
@@ -459,7 +464,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         word, hash_path = _resolve_word(args, min_letters=4 * max(radii) if radii else 1)
         result = check_linear_repetitivity(word, radii)
         payload = {
-            "radii": _parse_radii(args.radii),
+            "radii": radii,
             "constants": result["constants"],
             "C_estimate": result["C_estimate"],
         }

@@ -4,7 +4,8 @@ Averages A_n(f) = (1/n) sum_{k<n} exp(-2 pi i alpha k) f(block at k) are taken
 along one long word; uniformity over the hull is probed by varying the start
 offset (a lower bound on the true sup, exact in the minimal case in the limit).
 Subadditive quantities are averaged over randomized Fisher-type domains, and
-linear repetitivity is estimated from maximal factor-recurrence gaps.
+linear repetitivity is estimated from maximal recurrence gaps of factors named
+exactly by Karp-Miller-Rosenberg doubling, which also classes observable blocks.
 """
 
 from __future__ import annotations
@@ -56,32 +57,41 @@ class Observable:
 
 
 def _observable_values(word: str, f: Observable, n: int, offset: int) -> np.ndarray:
-    """f evaluated on the n consecutive blocks word[offset+k : offset+k+2L+1]."""
-    if n < 1:
-        raise ValidationError("average length n must be at least 1")
-    if offset < 0:
-        raise ValidationError("offset must be nonnegative")
+    """f evaluated on the n consecutive blocks word[offset+k : offset+k+2L+1]:
+    one table read per block class, at its first start, then one gather."""
     width = 2 * f.locality + 1
-    if offset + n + 2 * f.locality > len(word):
-        raise ValidationError(
-            f"window [offset, offset + n + 2 locality) = [{offset}, "
-            f"{offset + n + 2 * f.locality}) exceeds the word length {len(word)}"
-        )
-    if f.locality == 0:
-        lut = f.table
-        try:
-            return np.array([lut[c] for c in word[offset : offset + n]], dtype=complex)
-        except KeyError as exc:
-            raise ValidationError(f"observable table is missing block {exc.args[0]!r}")
-    out = np.empty(n, dtype=complex)
-    lut = f.table
-    for k in range(n):
-        block = word[offset + k : offset + k + width]
-        try:
-            out[k] = lut[block]
-        except KeyError:
-            raise ValidationError(f"observable table is missing block {block!r}")
-    return out
+    span = word[offset : offset + n + width - 1]
+    _, key = next(_factor_classes(span, [width]))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    try:
+        table = np.array([f.table[span[s : s + width]] for s in first.tolist()], dtype=complex)
+    except KeyError as exc:
+        raise ValidationError(f"observable table is missing block {exc.args[0]!r}") from None
+    return table[inverse]
+
+
+def _twisted_sums(word: str, f: Observable, alphas, windows) -> list[list]:
+    """Rows (one per alpha) of np.sum of exp(-2 pi i alpha k) f(block at offset+k)
+    over k < n, per (n, offset) window; f is evaluated once over the windows'
+    span and the phases once per alpha for the longest window."""
+    alphas = [float(a) for a in alphas]
+    if not all(np.isfinite(alphas)):
+        raise ValidationError(f"alpha must be finite, got {alphas}")
+    for n, offset in windows:
+        if n < 1:
+            raise ValidationError("average length n must be at least 1")
+        if offset < 0:
+            raise ValidationError("offset must be nonnegative")
+        if offset + n + 2 * f.locality > len(word):
+            raise ValidationError(
+                f"window [offset, offset + n + 2 locality) = [{offset}, "
+                f"{offset + n + 2 * f.locality}) exceeds the word length {len(word)}"
+            )
+    lo = min(o for _, o in windows)
+    vals = _observable_values(word, f, max(n + o for n, o in windows) - lo, lo)
+    k = np.arange(max(n for n, _ in windows))
+    phases = (np.exp(-2j * np.pi * alpha * k) for alpha in alphas)
+    return [[np.sum(p[:n] * vals[o - lo : o - lo + n]) for n, o in windows] for p in phases]
 
 
 def ww_average(word: str, f: Observable, alpha: float, n: int, offset: int = 0) -> complex:
@@ -90,9 +100,7 @@ def ww_average(word: str, f: Observable, alpha: float, n: int, offset: int = 0) 
     The frequency alpha lives mod 1 (character exp(2 pi i alpha)); |result| is
     bounded by max |f| for any word.
     """
-    vals = _observable_values(word, f, n, offset)
-    phases = np.exp(-2j * np.pi * float(alpha) * np.arange(n))
-    return complex(np.sum(phases * vals) / n)
+    return complex(_twisted_sums(word, f, [alpha], [(n, offset)])[0][0] / n)
 
 
 def ww_sup_over_offsets(word: str, f: Observable, alpha: float, n: int, offsets) -> dict:
@@ -105,7 +113,8 @@ def ww_sup_over_offsets(word: str, f: Observable, alpha: float, n: int, offsets)
     offsets = [int(o) for o in offsets]
     if not offsets:
         raise ValidationError("need at least one offset")
-    mags = [abs(ww_average(word, f, alpha, n, o)) for o in offsets]
+    sums = _twisted_sums(word, f, [alpha], [(n, o) for o in offsets])[0]
+    mags = [abs(complex(s / n)) for s in sums]
     return {
         "sup": float(max(mags)),
         "inf": float(min(mags)),
@@ -118,13 +127,8 @@ def ww_sup_over_frequencies(word: str, f: Observable, alphas, n: int, offset: in
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValidationError("need at least one frequency")
-    vals = _observable_values(word, f, n, offset)
-    k = np.arange(n)
-    best = 0.0
-    for alpha in alphas:
-        a = abs(np.sum(np.exp(-2j * np.pi * alpha * k) * vals)) / n
-        best = max(best, float(a))
-    return best
+    rows = _twisted_sums(word, f, alphas, [(n, offset)])
+    return max(0.0, *(float(abs(row[0]) / n) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -157,10 +161,15 @@ def ww_report(word: str, f: Observable, alpha: float, lengths, offsets=(0,)) -> 
     if not lengths or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValidationError("lengths must be a nonempty strictly increasing list")
     offsets = [int(o) for o in offsets]
-    values = tuple(ww_average(word, f, alpha, n, offsets[0]) for n in lengths)
-    stats = ww_sup_over_offsets(word, f, alpha, lengths[-1], offsets)
+    if not offsets:
+        raise ValidationError("need at least one offset")
+    n = lengths[-1]
+    windows = [(m, offsets[0]) for m in lengths] + [(n, o) for o in offsets]
+    sums = _twisted_sums(word, f, [alpha], windows)[0]
+    values = tuple(complex(s / m) for s, m in zip(sums, lengths))
+    mags = [abs(complex(s / n)) for s in sums[len(lengths) :]]
     return AverageReport(
-        float(alpha), tuple(lengths), values, stats["spread"], abs(values[-1])
+        float(alpha), tuple(lengths), values, float(max(mags) - min(mags)), abs(values[-1])
     )
 
 
@@ -255,46 +264,33 @@ def subadditive_limit(
     )
 
 
-def _hash_tables(codes: np.ndarray, base: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums P[i] = sum_{t<i} codes[t] base^t and inverse powers base^-i (mod 2^64).
+def _factor_classes(word: str, radii):
+    """Yield (r, key) for each distinct r in radii, in increasing order; key[i]
+    names the length-r factor at start i exactly (equal keys, equal factors).
 
-    They depend only on the word and the base, so every radius shares them.
-    base is odd, hence invertible mod 2^64; unsigned wraparound does the
-    modular reduction.
+    Karp-Miller-Rosenberg naming: rank[i] names the length-w factor at i for
+    w a power of two, and doubling w is one np.unique of the pairs
+    (rank[i], rank[i + w]). For w <= r < 2w a length-r factor is its
+    length-w prefix followed by its length-w suffix, so the pair
+    (rank[i], rank[i + r - w]) names it. Only the current level is held.
     """
-    n = len(codes)
-    powers = np.ones(n, dtype=np.uint64)
-    powers[1:] = base
-    prefix = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(codes * np.cumprod(powers, dtype=np.uint64), dtype=np.uint64, out=prefix[1:])
-    invpow = np.ones(n, dtype=np.uint64)
-    invpow[1:] = np.uint64(pow(int(base), -1, 2**64))
-    return prefix, np.cumprod(invpow, dtype=np.uint64)
+    codes = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
+    uniq, rank = np.unique(codes, return_inverse=True)
+    classes, w = len(uniq), 1
+    for r in sorted(set(radii)):
+        while 2 * w <= r:
+            uniq, rank = np.unique(rank[:-w] * classes + rank[w:], return_inverse=True)
+            classes, w = len(uniq), 2 * w
+        yield r, rank[: len(rank) - (r - w)] * classes + rank[r - w :]
 
 
-def _factor_hashes(tables: tuple[np.ndarray, np.ndarray], r: int) -> np.ndarray:
-    """Position-normalized rolling hashes of every length-r factor (mod 2^64).
-
-    H[i] = sum_t codes[i+t] base^t = (P[i+r] - P[i]) base^-i, from the
-    _hash_tables of one base.
-    """
-    prefix, invpow = tables
-    m = len(prefix) - r
-    h = prefix[r:] - prefix[:m]
-    h *= invpow[:m]
-    return h
-
-
-def _max_gap(h0: np.ndarray, h1: np.ndarray, letters: int, r: int) -> int:
-    """Largest gap between consecutive starts of equal length-r factors, or
-    from a word end to a factor's first or last start; factors are equal when
-    both hashes are."""
-    # lexsort is stable, so the starts of equal factors stay increasing
-    starts = np.lexsort((h1, h0))
-    same = np.ones(len(starts) - 1, dtype=bool)
-    for h in (h0, h1):
-        hs = h[starts]
-        same &= hs[1:] == hs[:-1]
+def _max_gap(key: np.ndarray, letters: int, r: int) -> int:
+    """Largest gap between consecutive starts of equal length-r factors (equal
+    keys), or from a word end to a factor's first or last start."""
+    # a stable sort keeps the starts of equal factors increasing
+    starts = np.argsort(key, kind="stable")
+    ks = key[starts]
+    same = ks[1:] == ks[:-1]
     gaps = [int(np.diff(starts)[same].max())] if same.any() else []
     gaps.append(int(starts[np.concatenate([[True], ~same])].max()))
     gaps.append(int((letters - r - starts[np.concatenate([~same, [True]])]).max()))
@@ -304,13 +300,13 @@ def _max_gap(h0: np.ndarray, h1: np.ndarray, letters: int, r: int) -> int:
 def check_linear_repetitivity(word: str, radii) -> dict:
     """Maximal factor-recurrence gap, per radius, normalized by the radius.
 
-    For each R, every length-R factor's occurrence starts are collected (two
-    independent 64-bit rolling hashes identify factors; a collision would need
-    ~2^64 factors) and the largest gap between consecutive starts is recorded,
-    together with the censored boundary gaps (distance from the word ends to
-    the first/last occurrence). constants[R] = max gap / R; C_estimate is the
-    max over radii. Linearly repetitive words keep C_estimate bounded; random
-    words push it up with R.
+    For each R, the length-R factors are split into exact classes
+    (_factor_classes), the occurrence starts of each class are collected and
+    the largest gap between consecutive starts is recorded, together with the
+    censored boundary gaps (distance from the word ends to the first/last
+    occurrence). constants[R] = max gap / R, in the order of radii (repeats
+    included); C_estimate is the max over radii. Linearly repetitive words
+    keep C_estimate bounded; random words push it up with R.
     """
     radii = [int(r) for r in radii]
     if not radii or min(radii) < 1:
@@ -320,14 +316,8 @@ def check_linear_repetitivity(word: str, radii) -> dict:
         raise ValidationError(
             f"word length {len(word)} is below the adequacy bound 4 max(radii) = {need}"
         )
-    codes = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
-    # odd 64-bit multipliers (splitmix64 increments); independence of the two
-    # hash streams is what makes collisions negligible
-    bases = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
-    tables = [_hash_tables(codes, b) for b in bases]
-    # one _max_gap call per radius frees its arrays before the next radius
-    # makes its own, so repeated calls reach the same peak memory
-    constants = [
-        _max_gap(*(_factor_hashes(t, r) for t in tables), len(word), r) / r for r in radii
-    ]
+    by_radius = {
+        r: _max_gap(key, len(word), r) / r for r, key in _factor_classes(word, radii)
+    }
+    constants = [by_radius[r] for r in radii]
     return {"constants": constants, "C_estimate": float(max(constants))}

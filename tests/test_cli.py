@@ -292,6 +292,23 @@ class TestWW:
             "--lengths", "500,900", "--offsets", "0,400", "--output", str(out),
         ) == 0
 
+    def test_observable_file_extends_the_word(self, tmp_path):
+        # a locality-1 file needs 2 letters past the windows, beyond --length
+        from quasidiff import Observable, named_substitution, substitution_fixed_point, ww_report
+
+        word = substitution_fixed_point(named_substitution("fibonacci"), 15)[:15]
+        table = {b: [1.0, -0.5] if b[1] == "b" else 0.25 for b in ("aab", "aba", "baa", "bab")}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"locality": 1, "table": table}))
+        out = tmp_path / "ww.json"
+        assert run(
+            "ww", "--rules", "fibonacci", "--length", "10", "--alpha", "0.2",
+            "--lengths", "5,10", "--offsets", "3,0", "--f", str(path), "--output", str(out),
+        ) == 0
+        f = Observable(1, {b: complex(*v) if isinstance(v, list) else v for b, v in table.items()})
+        want = ww_report(word, f, 0.2, [5, 10], [3, 0]).to_json()
+        assert read_json(out)["abs_values"] == want["abs_values"]
+
 
 class TestCheck:
     def test_lr_fibonacci(self, tmp_path):
@@ -414,6 +431,36 @@ class TestErrors:
             "--box", "0,2000", "--xi", "0,0.5", "--threads", str(threads),
         ) == code
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ww", "--rules", "fibonacci", "--alpha", "nan", "--lengths", "10"],
+            ["ww", "--rules", "fibonacci", "--alpha", "inf", "--lengths", "10"],
+            ["ww", "--rules", "fibonacci", "--alpha=-inf", "--lengths", "10"],
+            ["gen", "lattice", "--box", "0,10", "--spacing", "inf"],
+        ],
+        ids=["alpha-nan", "alpha-inf", "alpha-minus-inf", "spacing-inf"],
+    )
+    def test_non_finite_exit_code(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert run(*argv, "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_vanhove_cube_cap_exit_code(self, lattice_file, monkeypatch, capsys):
+        from quasidiff import cli
+
+        def no_cubes(vh):
+            raise AssertionError("cubes built")
+
+        monkeypatch.setattr(cli, "cube_sequence", no_cubes)
+        assert run(
+            "diffract", "peak", "--input", str(lattice_file), "--xi", "0.5",
+            "--vanhove", "1,1.000001,1e8",
+        ) == 3
+        assert "resource limit" in capsys.readouterr().err
 
 
 # a small valid command per subcommand (None marks a flag); --output is left

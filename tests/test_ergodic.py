@@ -14,6 +14,7 @@ from quasidiff import (
     ww_sup_over_frequencies,
     ww_sup_over_offsets,
 )
+from quasidiff.ergodic import _observable_values
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -37,6 +38,24 @@ class TestObservable:
         f = Observable.indicator("a", ("a", "b"))
         with pytest.raises(ValidationError, match="missing block"):
             ww_average("abc", f, 0.0, 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.text(alphabet="abc", min_size=5, max_size=200), st.integers(0, 2), st.data())
+    def test_values_match_a_per_position_lookup(self, word, locality, data):
+        width = 2 * locality + 1
+        n = data.draw(st.integers(1, len(word) - width + 1))
+        offset = data.draw(st.integers(0, len(word) - width + 1 - n))
+        blocks = sorted({word[i : i + width] for i in range(len(word) - width + 1)})
+        # "d" never occurs, so the table stays nonempty after a deletion
+        table = {b: complex(i, -0.5 * i) for i, b in enumerate(blocks + ["d" * width])}
+        want = [table[word[offset + k : offset + k + width]] for k in range(n)]
+        got = _observable_values(word, Observable(locality, table), n, offset)
+        assert got.tolist() == want
+        window = {word[offset + k : offset + k + width] for k in range(n)}
+        missing = data.draw(st.sampled_from(sorted(window)))
+        del table[missing]
+        with pytest.raises(ValidationError, match=f"missing block {missing!r}"):
+            _observable_values(word, Observable(locality, table), n, offset)
 
 
 class TestWWAverage:
@@ -137,6 +156,19 @@ class TestWWReport:
         with pytest.raises(ValidationError, match="increasing"):
             ww_report(fib_word, f, 0.0, [100, 100])
 
+    def test_offsets_must_be_nonempty(self, fib_word):
+        f = Observable.indicator("a", ("a", "b"))
+        with pytest.raises(ValidationError, match="offset"):
+            ww_report(fib_word, f, 0.0, [10], offsets=[])
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha(self, fib_word, alpha):
+        f = Observable.indicator("a", ("a", "b"))
+        with pytest.raises(ValidationError, match="finite"):
+            ww_report(fib_word, f, alpha, [10])
+        with pytest.raises(ValidationError, match="finite"):
+            ww_sup_over_frequencies(fib_word, f, [0.1, alpha], 10)
+
 
 class TestSubadditiveLimit:
     def test_mode_selection(self):
@@ -222,6 +254,12 @@ class TestLinearRepetitivity:
             )
             want.append(gap / r)
         assert check_linear_repetitivity(word, radii)["constants"] == want
+
+    def test_repeated_unsorted_radii_keep_their_order(self, fib_word):
+        word = fib_word[:2000]
+        got = check_linear_repetitivity(word, [5, 3, 5, 1])["constants"]
+        want = [check_linear_repetitivity(word, [r])["constants"][0] for r in (5, 3, 5, 1)]
+        assert got == want
 
     def test_word_too_short(self):
         with pytest.raises(ValidationError, match="adequacy"):
