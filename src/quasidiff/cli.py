@@ -35,10 +35,9 @@ from .diffraction import (
     Spectrum,
     SpectrumEntry,
     _convergence,
-    autocorrelation,
+    _evaluator,
     find_peaks,
     fourier_average,
-    intensity_from_autocorr,
     scan_spectrum,
     spectrum_from_csv,
     spectrum_to_csv,
@@ -72,10 +71,6 @@ _THREADS_HELP = (
     f"worker threads, 1 to {_THREAD_CAP} (64, or the core count if higher); "
     "output does not depend on it"
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _sha256(path: str | None) -> str | None:
@@ -123,6 +118,15 @@ def _csv_envelope(args: argparse.Namespace, input_path: str | None) -> dict:
         "config": json.dumps(env["config"], sort_keys=True),
         "input_hash": env["input_hash"] if env["input_hash"] is not None else "null",
     }
+
+
+def _emit_csv(args: argparse.Namespace, input_path: str | None, head: list, rows) -> None:
+    """Envelope comment lines, the header, then rows of floats at 17 significant digits."""
+    env = _csv_envelope(args, input_path)
+    lines = [f"# {k}={env[k]}" for k in sorted(env)]
+    lines.append(",".join(head))
+    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    _emit("\n".join(lines) + "\n", args.output)
 
 
 @contextmanager
@@ -365,13 +369,13 @@ def cmd_diffract(args: argparse.Namespace) -> int:
             center = 0.5 * (lo + hi)
         cubes = cube_sequence(VanHoveCubes(center, side0, growth, count))
         xi = _vector(xi, dim=wps.dim, name="xi")
-        vals = scan_spectrum(wps, cubes, [xi], estimator=args.estimator).entries[0].intensities
+        counts, per_scale = _evaluator(wps, cubes, args.estimator)
+        vals = per_scale(xi)
         entries = []
         for k, cube in enumerate(cubes):
             gap, converged, _ = _convergence(vals[: k + 1])
-            count_in = int(cube.contains(wps.points).sum())
             entries.append(SpectrumEntry(tuple(float(v) for v in xi), vals[k], args.estimator,
-                                         (vals[k],), float(gap), converged, cube.volume, count_in))
+                                         (vals[k],), float(gap), converged, cube.volume, counts[k]))
         buf = io.StringIO()
         spectrum_to_csv(Spectrum(tuple(entries)), buf, _csv_envelope(args, args.input))
         _emit(buf.getvalue(), args.output)
@@ -380,23 +384,13 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         sp = scan_spectrum(wps, box, _parse_grid(args.xi), estimator=args.estimator, threads=args.threads)
         refine = None
         if args.refine:
-            if args.estimator == "autocorr":
-                patch = autocorrelation(wps, box)
+            _, per_scale = _evaluator(wps, [box], args.estimator)
 
-                def refine(x):
-                    return intensity_from_autocorr(patch, [x])
-
-            else:
-
-                def refine(x):
-                    return abs(fourier_average(wps, box, [x]).value) ** 2
+            def refine(x):
+                return per_scale(_vector([x], name="xi"))[0]
 
         peaks = find_peaks(sp, args.floor, refine=refine)
-        env = _csv_envelope(args, args.input)
-        lines = [f"# {k}={env[k]}" for k in sorted(env)]
-        lines.append("xi_1,intensity")
-        lines += [f"{_fmt(p.xi)},{_fmt(p.intensity)}" for p in peaks]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit_csv(args, args.input, ["xi_1", "intensity"], [(p.xi, p.intensity) for p in peaks])
     return 0
 
 
@@ -413,32 +407,21 @@ def cmd_predict(args: argparse.Namespace) -> int:
         else:
             rows = [(c, c.intensity) for c in cands]
         rows.sort(key=lambda r: (-r[1], tuple(r[0].k)))
-        env = _csv_envelope(args, args.scheme if Path(args.scheme).is_file() else None)
-        lines = [f"# {k}={env[k]}" for k in sorted(env)]
         head = [f"k_{j + 1}" for j in range(scheme.d_phys)]
         head += [f"kstar_{j + 1}" for j in range(scheme.d_int)]
-        head.append("intensity")
-        lines.append(",".join(head))
-        for c, inten in rows:
-            cells = [_fmt(v) for v in c.k] + [_fmt(v) for v in c.k_star] + [_fmt(inten)]
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit_csv(args, args.scheme if Path(args.scheme).is_file() else None, head + ["intensity"],
+                  [(*c.k, *c.k_star, inten) for c, inten in rows])
     else:  # perturbed
         model = _parse_model(args.model)
         with _invalid(f"base spectrum {args.base_spectrum}"), open(args.base_spectrum) as fh:
             sp, _ = spectrum_from_csv(fh)
-        env = _csv_envelope(args, args.base_spectrum)
-        lines = [f"# {k}={env[k]}" for k in sorted(env)]
-        dim = sp.dim
-        head = [f"xi_{j + 1}" for j in range(dim)] + ["point_part", "diffuse_level"]
-        lines.append(",".join(head))
+        rows = []
         for e in sp.entries:
             n0 = args.n0 if args.n0 is not None else e.point_count / e.box_volume
             pred = predicted_intensity(model, e.intensity, np.array(e.xi), n0)
-            cells = [_fmt(v) for v in e.xi]
-            cells += [_fmt(pred["point_part"]), _fmt(pred["diffuse_level"])]
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.output)
+            rows.append((*e.xi, pred["point_part"], pred["diffuse_level"]))
+        head = [f"xi_{j + 1}" for j in range(sp.dim)] + ["point_part", "diffuse_level"]
+        _emit_csv(args, args.base_spectrum, head, rows)
     return 0
 
 

@@ -103,11 +103,33 @@ def fourier_average(wps: WeightedPointSet, box: Box, xi) -> FourierAverage:
         raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
     xi = _vector(xi, dim=wps.dim, name="xi")
     mask = box.contains(wps.points)
-    pts = wps.points[mask]
-    w = wps.weights[mask]
-    z = w * np.exp(-2j * np.pi * (pts @ xi))
-    value = _fsum_complex(z) / box.volume
+    value = _phase_sum(wps.points[mask], wps.weights[mask], xi) / box.volume
     return FourierAverage(xi, value, box.volume, int(mask.sum()))
+
+
+def _phase_sum(pts: np.ndarray, w: np.ndarray, xi: np.ndarray) -> complex:
+    """Exact sum of w_x exp(-2 pi i xi.x) over the rows x of pts, rounded once."""
+    return _fsum_complex(w * np.exp(-2j * np.pi * (pts @ xi)))
+
+
+def _evaluator(wps: WeightedPointSet, boxes: list, estimator: str):
+    """(point counts, per_scale) of the chosen estimator over a box sequence.
+
+    The patch is restricted to each box once: its points and weights for
+    fourier, one unbounded autocorrelation patch for autocorr. per_scale(xi)
+    returns the intensity in each box, |c^xi_B|^2 or its autocorrelation
+    transform, for a validated frequency vector xi.
+    """
+    for b in boxes:
+        if b.dim != wps.dim:
+            raise ValidationError(f"box dimension {b.dim} != point set dimension {wps.dim}")
+    if estimator == "autocorr":
+        patches = [autocorrelation(wps, b) for b in boxes]
+        return [p.point_count for p in patches], lambda xi: [intensity_from_autocorr(p, xi) for p in patches]
+    masks = [b.contains(wps.points) for b in boxes]
+    parts = [(wps.points[m], wps.weights[m], b.volume) for m, b in zip(masks, boxes)]
+    return ([int(m.sum()) for m in masks],
+            lambda xi: [abs(_phase_sum(pts, w, xi) / vol) ** 2 for pts, w, vol in parts])
 
 
 def _convergence(intensities) -> tuple[float, bool, float]:
@@ -139,17 +161,16 @@ def intensity_sequence(wps: WeightedPointSet, boxes, xi) -> tuple[list[float], d
         raise ValidationError("need at least one averaging box")
     if len(wps) == 0:
         raise ValidationError("cannot average an empty point set")
+    _, per_scale = _evaluator(wps, boxes, "fourier")
     lo, hi = wps.bounding_box
     pad = _min_separation_raw(wps.points) if len(wps) > 1 else 0.0
     for b in boxes:
-        if b.dim != wps.dim:
-            raise ValidationError(f"box dimension {b.dim} != point set dimension {wps.dim}")
         if np.any(b.lo < lo - pad) or np.any(b.hi > hi + pad):
             raise ValidationError(
                 f"averaging box {b.lo.tolist()}..{b.hi.tolist()} exceeds the patch "
                 "bounding box; generate a larger patch first"
             )
-    intensities = [abs(fourier_average(wps, b, xi).value) ** 2 for b in boxes]
+    intensities = per_scale(_vector(xi, dim=wps.dim, name="xi"))
     last_gap, converged, tol = _convergence(intensities)
     diagnostics = {
         "intensities": list(intensities),
@@ -501,17 +522,7 @@ def scan_spectrum(
         raise ValidationError(f"unknown estimator {estimator!r}; use fourier or autocorr")
     xis.sort(key=tuple)
 
-    counts = [int(b.contains(wps.points).sum()) for b in boxes]
-    if estimator == "autocorr":
-        patches = [autocorrelation(wps, b) for b in boxes]
-
-        def per_scale(xi):
-            return [intensity_from_autocorr(p, xi) for p in patches]
-
-    else:
-
-        def per_scale(xi):
-            return [abs(fourier_average(wps, b, xi).value) ** 2 for b in boxes]
+    counts, per_scale = _evaluator(wps, boxes, estimator)
 
     def evaluate(xi):
         vals = per_scale(xi)
