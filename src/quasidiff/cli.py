@@ -65,6 +65,12 @@ _CONFIG_EXCLUDE = {"func", "command", "subcommand", "threads", "output"}
 _GRID_CAP = 10**6
 # most van Hove cubes --vanhove may ask for (at growth 1.01 the last is ~2e4 side0)
 _CUBE_CAP = 1000
+# most radii a lo..hi range may expand to
+_RADII_CAP = 10**4
+# most letters a generated word may have (gen substitution, ww, check lr)
+_LETTER_CAP = 10**7
+# most midpoint-rule nodes, --quad ** d_int, per deformed amplitude
+_QUAD_CAP = 10**7
 # argparse reads a value starting with "-" as an option unless it is attached
 _BOX_HELP = "lo,hi or lo1,lo2;hi1,hi2 (write --box=-2,832 when lo is negative)"
 _THREADS_HELP = (
@@ -195,6 +201,8 @@ def _parse_radii(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValidationError(f"empty radius range {text!r}")
+        if hi - lo >= _RADII_CAP:
+            raise ResourceLimitError(f"radius range {text!r} has {hi - lo + 1} radii, over {_RADII_CAP}")
         return list(range(lo, hi + 1))
     return _parse_ints(text)
 
@@ -279,6 +287,13 @@ def _load_substitution(args: argparse.Namespace) -> Substitution:
     return named_substitution(name)
 
 
+def _letters(n: int) -> int:
+    """n, the length of a word to generate; over _LETTER_CAP it raises ResourceLimitError."""
+    if n > _LETTER_CAP:
+        raise ResourceLimitError(f"a word of {n} letters is over {_LETTER_CAP}")
+    return n
+
+
 def _resolve_word(args: argparse.Namespace, min_letters: int = 1) -> tuple[str, str | None]:
     """Word text plus the path that should be hashed (None for generated words).
 
@@ -290,7 +305,7 @@ def _resolve_word(args: argparse.Namespace, min_letters: int = 1) -> tuple[str, 
             return Path(args.word_file).read_text().strip(), args.word_file
     if getattr(args, "rules", None):
         s = _load_substitution(args)
-        n = max(args.length, min_letters)
+        n = _letters(max(args.length, min_letters))
         return substitution_fixed_point(s, n)[:n], None
     raise ValidationError("pass either --word-file or --rules (with --length)")
 
@@ -331,7 +346,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 args.lengths, "tile length", "tile lengths look like a=1.618,b=1; got {item}"
             )
             s = Substitution(s.alphabet, s.rules, lengths, s.seed)
-        word = substitution_fixed_point(s, args.length)[: args.length]
+        n = _letters(args.length)
+        word = substitution_fixed_point(s, n)[:n]
         wps = word_to_pointset(word, s.lengths, origin=args.origin)
         _write_pointset(wps, args, args.rules if Path(args.rules).is_file() else None)
     return 0
@@ -397,6 +413,11 @@ def cmd_diffract(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     if args.subcommand == "model-set":
         scheme, theta = _load_scheme(args.scheme)
+        # deformed_amplitude itself rejects --quad below 2
+        if theta is not None and max(args.quad, 0) ** scheme.d_int > _QUAD_CAP:
+            raise ResourceLimitError(
+                f"--quad {args.quad} gives {args.quad}**{scheme.d_int} quadrature nodes, over {_QUAD_CAP}"
+            )
         rng_box = _parse_box(args.range)
         cands = dual_peaks(scheme, rng_box, args.floor)
         if theta is not None:

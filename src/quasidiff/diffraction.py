@@ -125,7 +125,8 @@ def _evaluator(wps: WeightedPointSet, boxes: list, estimator: str):
             raise ValidationError(f"box dimension {b.dim} != point set dimension {wps.dim}")
     if estimator == "autocorr":
         patches = [autocorrelation(wps, b) for b in boxes]
-        return [p.point_count for p in patches], lambda xi: [intensity_from_autocorr(p, xi) for p in patches]
+        return ([p.point_count for p in patches],
+                lambda xi: [intensity_from_autocorr(p, xi) for p in patches])
     masks = [b.contains(wps.points) for b in boxes]
     parts = [(wps.points[m], wps.weights[m], b.volume) for m, b in zip(masks, boxes)]
     return ([int(m.sum()) for m in masks],
@@ -315,11 +316,10 @@ def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
         block = max(1, 2**21 // n)
         for i0 in range(0, n, block):
             i1 = min(i0 + block, n)
-            d = pts[None, i0:i1, :] - pts[:, None, :]  # d[j, i] = x_i - x_j
-            jj, ii = np.meshgrid(np.arange(n), np.arange(i0, i1), indexing="ij")
-            upper = ii > jj
-            d = d.reshape(n * (i1 - i0), dim)[upper.ravel()]
-            yield d, (w[ii] * np.conj(w[jj]))[upper]
+            # the pairs i > j with i in [i0, i1), ordered by j, then i
+            jj, ii = np.nonzero(np.arange(i0, i1) > np.arange(i1 - 1)[:, None])
+            ii += i0
+            yield pts[ii] - pts[jj], w[ii] * np.conj(w[jj])
 
 
 def autocorrelation(

@@ -13,8 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .geometry import Box, _vector
+
+# most points lattice_points will enumerate
+_LATTICE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -224,13 +227,16 @@ def lattice_points(dim: int, box: Box, spacing: float) -> WeightedPointSet:
         raise ValidationError(f"dim must be at least 1, got {dim}")
     if box.dim != dim:
         raise ValidationError(f"box dimension {box.dim} != dim {dim}")
-    if not spacing > 0:
-        raise ValidationError(f"spacing must be positive, got {spacing}")
-    axes = []
-    for j in range(dim):
-        k0 = int(np.ceil(box.lo[j] / spacing))
-        k1 = int(np.ceil(box.hi[j] / spacing))
-        axes.append(spacing * np.arange(k0, k1, dtype=float))
+    if not (spacing > 0 and np.isfinite(spacing)):
+        raise ValidationError(f"spacing must be positive and finite, got {spacing}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound gives inf or nan
+        k0, k1 = np.ceil(box.lo / spacing), np.ceil(box.hi / spacing)
+        count = float(np.prod(k1 - k0))
+    if not count <= _LATTICE_CAP:
+        raise ResourceLimitError(
+            f"lattice of spacing {spacing} in this box has {count:.3g} points, over {_LATTICE_CAP}"
+        )
+    axes = [spacing * np.arange(int(a), int(b), dtype=float) for a, b in zip(k0, k1)]
     grids = np.meshgrid(*axes, indexing="ij") if dim > 1 else [axes[0]]
     pts = np.stack([g.ravel() for g in grids], axis=1)
     pts = pts[box.contains(pts)]  # guard float edge cases of the ceil bounds

@@ -34,6 +34,15 @@ def lattice_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def deformed_scheme(tmp_path, fib_scheme):
+    from quasidiff import Deformation
+
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(fib_scheme.to_json(Deformation.affine([[0.1]], [0.0]))))
+    return path
+
+
 class TestParsing:
     def test_version(self, capsys):
         assert run("--version") == 0
@@ -191,6 +200,44 @@ class TestDiffract:
         assert sp.entries[-1].converged
         vols = [e.box_volume for e in sp.entries]
         assert vols == [200.0, 400.0, 800.0, 1600.0]
+
+    def test_peak_autocorr_matches_fourier(self, tmp_path, lattice_file):
+        entries = {}
+        for est in ("fourier", "autocorr"):
+            out = tmp_path / f"peak-{est}.csv"
+            assert run(
+                "diffract", "peak", "--input", str(lattice_file), "--xi", "1.01",
+                "--vanhove", "50,1.5,4", "--estimator", est, "--output", str(out),
+            ) == 0
+            with open(out) as fh:
+                entries[est] = spectrum_from_csv(fh)[0].entries
+        x = load_points(lattice_file).points[:, 0]
+        center = 0.5 * (x.min() + x.max())
+        assert len(entries["fourier"]) == len(entries["autocorr"]) == 4
+        for f, a in zip(entries["fourier"], entries["autocorr"]):
+            assert a.estimator == "autocorr"
+            assert a.intensity == pytest.approx(f.intensity, abs=1e-9)
+            assert a.last_gap == pytest.approx(f.last_gap, abs=1e-9, nan_ok=True)
+            assert a.box_volume == f.box_volume
+            lo, hi = center - a.box_volume / 2, center + a.box_volume / 2
+            assert a.point_count == f.point_count == np.count_nonzero((x >= lo) & (x < hi))
+
+    def test_peaks_refine_autocorr_matches_fourier(self, tmp_path, lattice_file):
+        found = {}
+        for est in ("fourier", "autocorr"):
+            out = tmp_path / f"peaks-{est}.csv"
+            assert run(
+                "diffract", "peaks", "--input", str(lattice_file), "--box", "0,100",
+                "--xi", "0.9:1.1:0.003", "--floor", "0.5", "--refine", "--estimator", est,
+                "--output", str(out),
+            ) == 0
+            rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+            found[est] = [tuple(float(v) for v in row.split(",")) for row in rows[1:]]
+        assert len(found["fourier"]) == len(found["autocorr"]) == 1
+        (xf, yf), (xa, ya) = found["fourier"][0], found["autocorr"][0]
+        assert xf == pytest.approx(1.0, abs=1e-6)
+        assert xa == pytest.approx(xf, abs=1e-6)
+        assert ya == pytest.approx(yf, abs=1e-9)
 
     def test_peaks_refine_locates_bragg(self, tmp_path, lattice_file):
         out = tmp_path / "peaks.csv"
@@ -433,20 +480,21 @@ class TestErrors:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["ww", "--rules", "fibonacci", "--alpha", "nan", "--lengths", "10"],
-            ["ww", "--rules", "fibonacci", "--alpha", "inf", "--lengths", "10"],
-            ["ww", "--rules", "fibonacci", "--alpha=-inf", "--lengths", "10"],
-            ["gen", "lattice", "--box", "0,10", "--spacing", "inf"],
+            (["ww", "--rules", "fibonacci", "--alpha", "nan", "--lengths", "10"], "alpha must be finite"),
+            (["ww", "--rules", "fibonacci", "--alpha", "inf", "--lengths", "10"], "alpha must be finite"),
+            (["ww", "--rules", "fibonacci", "--alpha=-inf", "--lengths", "10"], "alpha must be finite"),
+            (["gen", "lattice", "--box", "0,10", "--spacing", "inf"], "spacing must be positive and finite"),
         ],
         ids=["alpha-nan", "alpha-inf", "alpha-minus-inf", "spacing-inf"],
     )
-    def test_non_finite_exit_code(self, argv, tmp_path, capsys):
+    def test_non_finite_exit_code(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.json"
         assert run(*argv, "--output", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
         assert not out.exists()
 
     def test_vanhove_cube_cap_exit_code(self, lattice_file, monkeypatch, capsys):
@@ -461,6 +509,54 @@ class TestErrors:
             "--vanhove", "1,1.000001,1e8",
         ) == 3
         assert "resource limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["check", "lr", "--rules", "fibonacci", "--radii", "1..1000000000000"], "_resolve_word"),
+            (["gen", "substitution", "--rules", "fibonacci", "--length", "1000000000000"],
+             "substitution_fixed_point"),
+            (["check", "lr", "--rules", "fibonacci", "--length", "1000000000000", "--radii", "1"],
+             "substitution_fixed_point"),
+            (["check", "lr", "--rules", "fibonacci", "--radii", "1000000000000"], "substitution_fixed_point"),
+            (["ww", "--rules", "fibonacci", "--alpha", "0.1", "--lengths", "1000000000000"],
+             "substitution_fixed_point"),
+            (["predict", "model-set", "--scheme", "{deformed}", "--range", "0,3", "--floor", "0.1",
+              "--quad", "100000000"], "deformed_amplitude"),
+        ],
+        ids=["radii-range", "gen-length", "lr-length", "lr-radius", "ww-lengths", "quad"],
+    )
+    def test_allocation_cap_exit_code(self, argv, blocked, deformed_scheme, monkeypatch, capsys):
+        from quasidiff import cli
+
+        def no_call(*args, **kwargs):
+            raise AssertionError(f"{blocked} called")
+
+        monkeypatch.setattr(cli, blocked, no_call)
+        assert run(*(a.replace("{deformed}", str(deformed_scheme)) for a in argv)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cap, argv",
+        [
+            ("_RADII_CAP", ["check", "lr", "--rules", "fibonacci", "--length", "100", "--radii", "1..{n}"]),
+            ("_LETTER_CAP", ["gen", "substitution", "--rules", "fibonacci", "--length", "{n}"]),
+            ("_QUAD_CAP", ["predict", "model-set", "--scheme", "{deformed}", "--range", "1.5,2",
+                           "--floor", "0.1", "--quad", "{n}"]),
+        ],
+        ids=["radii", "letters", "quad"],
+    )
+    def test_allocation_cap_boundary(self, cap, argv, tmp_path, deformed_scheme, monkeypatch, capsys):
+        from quasidiff import cli
+
+        # the benchmark's and the docs' sizes stay within the caps
+        assert cli._RADII_CAP >= 100 and cli._LETTER_CAP >= 2 * 10**5 and cli._QUAD_CAP >= 10001
+        monkeypatch.setattr(cli, cap, 40)
+        for n, code in ((40, 0), (41, 3)):
+            args = [a.replace("{n}", str(n)).replace("{deformed}", str(deformed_scheme)) for a in argv]
+            assert run(*args, "--output", str(tmp_path / "out")) == code
+        assert "Traceback" not in capsys.readouterr().err
 
 
 # a small valid command per subcommand (None marks a flag); --output is left

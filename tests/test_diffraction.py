@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -249,6 +250,32 @@ class TestAutocorrelation:
         assert len(rows) == 2
         assert patch.reps[rows[0]].tolist() == [0.0, 5.0]
         assert patch.reps[rows[1]][0] < 0.0
+
+    def test_dense_pair_batches_match_meshgrid_reference(self):
+        from quasidiff.diffraction import _pair_batches
+
+        def meshgrid_batches(pts, w):
+            # reference: mask the pairs i > j out of full n x block grids
+            n, dim = pts.shape
+            block = max(1, 2**21 // n)
+            for i0 in range(0, n, block):
+                i1 = min(i0 + block, n)
+                d = pts[None, i0:i1, :] - pts[:, None, :]  # d[j, i] = x_i - x_j
+                jj, ii = np.meshgrid(np.arange(n), np.arange(i0, i1), indexing="ij")
+                upper = ii > jj
+                yield d.reshape(n * (i1 - i0), dim)[upper.ravel()], (w[ii] * np.conj(w[jj]))[upper]
+
+        rng = np.random.default_rng(7)
+        pts = np.stack(np.meshgrid(np.arange(40.0), np.arange(40.0), indexing="ij"), -1).reshape(-1, 2)
+        pts += rng.uniform(-0.3, 0.3, pts.shape)
+        w = rng.normal(size=1600) + 1j * rng.normal(size=1600)
+        batches = 0
+        for got, ref in itertools.zip_longest(_pair_batches(pts, w, None), meshgrid_batches(pts, w)):
+            assert got is not None and ref is not None
+            for a, b in zip(got, ref):  # differences, then weight products
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            batches += 1
+        assert batches == 2  # 1600 points make blocks of 2**21 // 1600 = 1310
 
     def test_bin_budget(self, monkeypatch):
         from quasidiff import ResourceLimitError, diffraction

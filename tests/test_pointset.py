@@ -78,6 +78,28 @@ class TestLattice:
     def test_spacing(self):
         wps = lattice_points(1, Box([0.0], [10.0]), 0.5)
         assert len(wps) == 20
+        for bad in (0.0, -0.5, float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="spacing"):
+                lattice_points(1, Box([0.0], [10.0]), bad)
+
+    def test_point_cap(self, monkeypatch):
+        from quasidiff import ResourceLimitError, pointset
+
+        monkeypatch.setattr(pointset, "_LATTICE_CAP", 20)
+        assert len(lattice_points(2, Box([0.0, 0.0], [4.0, 5.0]), 1.0)) == 20
+        monkeypatch.setattr(pointset, "_LATTICE_CAP", 19)
+        with pytest.raises(ResourceLimitError):
+            lattice_points(2, Box([0.0, 0.0], [4.0, 5.0]), 1.0)
+        monkeypatch.undo()
+
+        def no_arange(*args, **kwargs):
+            raise AssertionError("points enumerated")
+
+        monkeypatch.setattr(pointset.np, "arange", no_arange)
+        # too many points, and a bound that overflows to inf
+        for box, spacing in ((Box([0.0], [1e12]), 1.0), (Box([0.0], [10.0]), 1e-320)):
+            with pytest.raises(ResourceLimitError):
+                lattice_points(1, box, spacing)
 
     def test_2d(self):
         wps = lattice_points(2, Box([0.0, 0.0], [4.0, 5.0]), 1.0)
