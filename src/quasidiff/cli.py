@@ -36,6 +36,7 @@ from .diffraction import (
     SpectrumEntry,
     _convergence,
     _evaluator,
+    _scan,
     find_peaks,
     fourier_average,
     scan_spectrum,
@@ -397,10 +398,9 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         _emit(buf.getvalue(), args.output)
     else:  # peaks
         box = _parse_box(args.box)
-        sp = scan_spectrum(wps, box, _parse_grid(args.xi), estimator=args.estimator, threads=args.threads)
+        sp, per_scale = _scan(wps, box, _parse_grid(args.xi), args.estimator, args.threads)
         refine = None
         if args.refine:
-            _, per_scale = _evaluator(wps, [box], args.estimator)
 
             def refine(x):
                 return per_scale(_vector([x], name="xi"))[0]

@@ -19,6 +19,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -186,18 +187,20 @@ def intensity_sequence(wps: WeightedPointSet, boxes, xi) -> tuple[list[float], d
 class AutocorrelationPatch:
     """Binned finite-volume autocorrelation of a patch.
 
-    keys holds the quantized difference vectors (int64 multiples of
-    bin_epsilon, lexicographically sorted), coeffs the volume-normalized
-    coefficients, reps one raw (unrounded) difference per bin, spreads the
-    per-axis spread of raw differences that fell into the bin. Hermitian
-    symmetry is structural: the bin at -q carries the conjugate coefficient.
-    They are built by sorting and reducing arrays of pair differences, not bin by bin.
+    Only the diagonal and one bin of each +-q pair are stored. _half holds
+    the bins of the pairs i > j in order of first appearance: their quantized
+    difference vectors (int64 multiples of bin_epsilon), volume-normalized
+    coefficients, one raw (unrounded) difference each, and the per-axis spread
+    of raw differences that fell into the bin; _diagonal is the coefficient
+    at 0. Hermitian symmetry is structural: the mirror of each bin sits at -q
+    with the exact conjugate coefficient. The public keys, coeffs, reps and
+    spreads lay out the diagonal, every bin and its mirror, lexicographically
+    sorted by key; they are built from the half on first read and cached.
+    len(patch) counts the full layout and builds nothing.
     """
 
-    keys: np.ndarray
-    coeffs: np.ndarray
-    reps: np.ndarray
-    spreads: np.ndarray
+    _half: tuple
+    _diagonal: float
     bin_epsilon: float
     normalizing_volume: float
     max_radius: float | None
@@ -206,24 +209,46 @@ class AutocorrelationPatch:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        keys, coeffs, reps, spreads = arrays = (
-            np.asarray(self.keys, dtype=np.int64),
-            np.asarray(self.coeffs, dtype=complex),
-            np.asarray(self.reps, dtype=float),
-            np.asarray(self.spreads, dtype=float),
+        keys, coeffs, reps, spreads = half = (
+            np.asarray(self._half[0], dtype=np.int64),
+            np.asarray(self._half[1], dtype=complex),
+            np.asarray(self._half[2], dtype=float),
+            np.asarray(self._half[3], dtype=float),
         )
         if coeffs.shape != (len(keys),) or reps.shape != keys.shape or spreads.shape != keys.shape:
             raise ValidationError("inconsistent autocorrelation bin arrays")
-        for name, a in zip(("keys", "coeffs", "reps", "spreads"), arrays):
+        for a in half:
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "_half", half)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return 2 * len(self._half[0]) + 1
 
     @property
     def dim(self) -> int:
-        return self.keys.shape[1]
+        return self._half[0].shape[1]
+
+    @cached_property
+    def _full(self) -> tuple:
+        """(keys, coeffs, reps, spreads) of the diagonal, every bin and its mirror, sorted by key."""
+        keys, coeffs, reps, spreads = self._half
+        origin = np.zeros((1, self.dim))
+
+        def layout(diag, pos, neg):  # diagonal, then bin, mirror, ...: the order coinciding keys keep
+            return np.concatenate([diag, np.stack([pos, neg], axis=1).reshape(-1, *pos.shape[1:])])
+
+        full = layout(origin.astype(np.int64), keys, -keys)
+        order = np.lexsort(full.T[::-1])
+        arrays = (full[order], layout([self._diagonal], coeffs, np.conj(coeffs))[order],
+                  layout(origin, reps, -reps)[order], layout(origin, spreads, spreads)[order])
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+    keys = property(lambda self: self._full[0], doc="Quantized difference vectors, sorted.")
+    coeffs = property(lambda self: self._full[1], doc="Volume-normalized coefficient of each key.")
+    reps = property(lambda self: self._full[2], doc="One raw difference vector per key.")
+    spreads = property(lambda self: self._full[3], doc="Per-axis spread of the raw differences per key.")
 
     @property
     def bins(self) -> dict:
@@ -237,7 +262,7 @@ class AutocorrelationPatch:
         construction; values approaching bin_epsilon mean distinct difference
         classes are being merged and the quantization is too coarse.
         """
-        return float(self.spreads.max()) if len(self) else 0.0
+        return float(self._half[3].max(initial=0.0))
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,10 +363,12 @@ def autocorrelation(
 
     bin_epsilon defaults to 1e-6 times the minimum separation and must stay
     below half the minimum separation so distinct points cannot share a bin.
-    Each batch of pairs (_pair_batches) is sorted by bin key and reduced to a
-    run of bins held in arrays; one more sort merges the runs into the bins,
-    adding each bin's partial sums in batch order, before one lexsort lays
-    out the bins with their mirrors at -q.
+    Each batch of the pairs i > j (_pair_batches) is sorted by bin key and
+    reduced to a run of bins held in arrays; one more sort merges the runs
+    into the bins, adding each bin's partial sums in batch order (a single
+    run is merged already). The patch stores only these bins and the
+    diagonal; their mirrors at -q, the exact conjugates, are laid out when
+    its public arrays are first read.
     """
     if box.dim != wps.dim:
         raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
@@ -368,8 +395,7 @@ def autocorrelation(
         )
 
     dim, vol = wps.dim, box.volume
-    # start from an empty run, so that a patch without pairs merges to no bins
-    runs = [(np.zeros((0, dim), np.int64), np.zeros(0, complex), *np.zeros((3, 0, dim)))]
+    runs = []
     held = 0
     for d, prod in _pair_batches(pts, w, max_radius):
         held += _aggregate_bins(runs, _quantize(d, bin_epsilon), d, prod)
@@ -381,24 +407,19 @@ def autocorrelation(
                     f"autocorrelation produced more than {_BIN_BUDGET} distinct difference "
                     "bins; truncate with max_radius or coarsen bin_epsilon"
                 )
-    qkeys, sums, reps, rmin, rmax = _merge_runs(runs)
-    # Python's complex / float (before 3.14), signed zeros included; mirrors use numpy's division
+    if len(runs) != 1:  # a single run (one batch, or runs merged above) is merged already
+        # an empty run, so that a patch without pairs merges to no bins
+        runs.append((np.zeros((0, dim), np.int64), np.zeros(0, complex), *np.zeros((3, 0, dim))))
+        runs = [_merge_runs(runs)]
+    qkeys, sums, reps, rmin, rmax = runs[0]
+    # Python's complex / float (before 3.14), signed zeros included
     re, im = sums.real, sums.imag
     coeffs = (np.column_stack([re + im * 0.0, im - re * 0.0]) / vol).view(complex).ravel()
-
-    def layout(diag, pos, neg):  # diagonal, then bin, mirror, ...: the order coinciding keys keep
-        return np.concatenate([diag, np.stack([pos, neg], axis=1).reshape(-1, *pos.shape[1:])])
-
-    origin = np.zeros((1, dim))
-    keys = layout(origin.astype(np.int64), qkeys, -qkeys)
-    order = np.lexsort(keys.T[::-1])
     # diagonal bin: ordered pairs (x, x) contribute |w_x|^2; no distinct pair
     # can land here because bin_epsilon < min_separation / 2
     patch = AutocorrelationPatch(
-        keys[order],
-        layout([_exact_sum(np.abs(w) ** 2) / vol], coeffs, np.conj(sums) / vol)[order],
-        layout(origin, reps, -reps)[order],
-        layout(origin, rmax - rmin, rmax - rmin)[order],
+        (qkeys, coeffs, reps, rmax - rmin),
+        _exact_sum(np.abs(w) ** 2) / vol,
         float(bin_epsilon),
         vol,
         None if max_radius is None else float(max_radius),
@@ -417,35 +438,49 @@ def autocorrelation(
 def intensity_from_autocorr(patch: AutocorrelationPatch, xi, averaging_box: Box | None = None) -> float:
     """Bragg intensity estimate from a binned autocorrelation.
 
-    Sums coeff(z) exp(-2 pi i xi.z) over bins (phases evaluated at the stored
-    raw representatives). averaging_box None selects every bin and divides by
-    the source-box volume, which for an unbounded-radius patch equals
-    |c^xi_B|^2 identically; a concrete averaging_box restricts to bins inside
-    it and divides by its volume, the truncated estimator. The imaginary part
-    must vanish by Hermitian symmetry and is checked, not returned.
+    Sums the real part of coeff(z) exp(-2 pi i xi.z) over bins (phases
+    evaluated at the stored raw representatives). averaging_box None selects
+    every bin and divides by the source-box volume, which for an
+    unbounded-radius patch equals |c^xi_B|^2 identically; a concrete
+    averaging_box restricts to bins inside it and divides by its volume, the
+    truncated estimator.
+
+    A mirror's term is the exact conjugate of its bin's term, so the real
+    part of the full sum is the diagonal plus 2 Re(c_q exp(-2 pi i xi.r_q))
+    over the stored half, each half term weighted by how many of r_q and -r_q
+    the averaging box contains. Doubling is exact and the sum is rounded once
+    (_exact_sum), so this is the exactly rounded full sum, from one phase per
+    +-q pair. Over all bins the imaginary part cancels term by term; with an
+    averaging box it is sum Im(term) (contains(r_q) - contains(-r_q)), which
+    vanishes for a box symmetric about 0 and is checked, not returned.
     """
     xi = _vector(xi, dim=patch.dim, name="xi")
+    _, coeffs, reps, _ = patch._half
+    diag = patch._diagonal
     if averaging_box is None:
-        sel = slice(None)
-        denom = patch.normalizing_volume
-    else:
-        if averaging_box.dim != patch.dim:
+        z = coeffs * np.exp(-2j * np.pi * (reps @ xi))
+        return _exact_sum(np.r_[diag, 2.0 * z.real]) / patch.normalizing_volume
+    if averaging_box.dim != patch.dim:
+        raise ValidationError(
+            f"averaging box dimension {averaging_box.dim} != patch dimension {patch.dim}"
+        )
+    if patch.max_radius is not None:
+        corner = np.maximum(np.abs(averaging_box.lo), np.abs(averaging_box.hi))
+        if float(np.linalg.norm(corner)) > patch.max_radius * (1 + 1e-12):
             raise ValidationError(
-                f"averaging box dimension {averaging_box.dim} != patch dimension {patch.dim}"
+                "averaging box reaches beyond the truncation radius "
+                f"{patch.max_radius}; differences out there were never accumulated"
             )
-        if patch.max_radius is not None:
-            corner = np.maximum(np.abs(averaging_box.lo), np.abs(averaging_box.hi))
-            if float(np.linalg.norm(corner)) > patch.max_radius * (1 + 1e-12):
-                raise ValidationError(
-                    "averaging box reaches beyond the truncation radius "
-                    f"{patch.max_radius}; differences out there were never accumulated"
-                )
-        sel = averaging_box.contains(patch.reps)
-        denom = averaging_box.volume
-    z = patch.coeffs[sel] * np.exp(-2j * np.pi * (patch.reps[sel] @ xi))
-    total = _fsum_complex(z)
-    value = total.real / denom
-    imag = total.imag / denom
+    pos = averaging_box.contains(reps).astype(np.int8)
+    neg = averaging_box.contains(-reps).astype(np.int8)
+    sel = np.flatnonzero(pos | neg)
+    z = coeffs[sel] * np.exp(-2j * np.pi * (reps[sel] @ xi))
+    terms = z.real * (pos[sel] + neg[sel])
+    if averaging_box.contains(np.zeros((1, patch.dim)))[0]:
+        terms = np.r_[diag, terms]
+    denom = averaging_box.volume
+    value = _exact_sum(terms) / denom
+    imag = _exact_sum(z.imag * (pos[sel] - neg[sel])) / denom
     if abs(imag) > 1e-9 + 1e-6 * abs(value):
         warnings.warn(
             f"autocorrelation intensity at xi={xi.tolist()} has imaginary part "
@@ -505,6 +540,11 @@ def scan_spectrum(
     a throughput hint from 1 to _THREAD_CAP; evaluations are read-only on
     shared arrays).
     """
+    return _scan(wps, box, xi_grid, estimator, threads)[0]
+
+
+def _scan(wps: WeightedPointSet, box, xi_grid, estimator: str, threads: int):
+    """(spectrum, per_scale) of scan_spectrum; per_scale is its evaluator, for reuse."""
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
     if threads > _THREAD_CAP:
@@ -536,7 +576,7 @@ def scan_spectrum(
             entries = list(pool.map(evaluate, xis))
     else:
         entries = [evaluate(xi) for xi in xis]
-    return Spectrum(tuple(entries))
+    return Spectrum(tuple(entries)), per_scale
 
 
 class Peak(NamedTuple):

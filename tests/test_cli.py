@@ -239,6 +239,20 @@ class TestDiffract:
         assert xa == pytest.approx(xf, abs=1e-6)
         assert ya == pytest.approx(yf, abs=1e-9)
 
+    def test_peaks_refine_builds_one_autocorrelation(self, tmp_path, lattice_file, monkeypatch):
+        # the scan's evaluator is reused for the refine pass
+        from quasidiff import diffraction
+
+        calls = []
+        build = diffraction.autocorrelation
+        monkeypatch.setattr(diffraction, "autocorrelation", lambda *a, **k: calls.append(1) or build(*a, **k))
+        assert run(
+            "diffract", "peaks", "--input", str(lattice_file), "--box", "0,100",
+            "--xi", "0.9:1.1:0.01", "--floor", "0.5", "--refine", "--estimator", "autocorr",
+            "--output", str(tmp_path / "peaks.csv"),
+        ) == 0
+        assert len(calls) == 1
+
     def test_peaks_refine_locates_bragg(self, tmp_path, lattice_file):
         out = tmp_path / "peaks.csv"
         assert run(

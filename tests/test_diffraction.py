@@ -308,6 +308,48 @@ class TestIntensityFromAutocorr:
         with pytest.raises(ValidationError, match="truncation radius"):
             intensity_from_autocorr(patch, [0.0], averaging_box=Box([-20.0], [20.0]))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        weights=st.sampled_from(["unit", "real", "complex"]),
+        jitter=st.booleans(),  # off: lattice sites, so many pairs share a bin
+        seed=st.integers(0, 2**32 - 1),
+        xis=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=8),
+        extent=st.sampled_from([None, (2.5, 2.5), (4.5, 4.5), (1.5, 3.5)]),  # averaging box -lo, hi
+    )
+    @pytest.mark.filterwarnings("ignore:autocorrelation intensity")  # the asymmetric box
+    def test_half_sum_has_the_bits_of_the_full_sum(self, dim, weights, jitter, seed, xis, extent):
+        from quasidiff import diffraction
+
+        rng = np.random.default_rng(seed)
+        sites = np.stack(np.meshgrid(*[np.arange(8.0)] * dim, indexing="ij"), -1).reshape(-1, dim)
+        pts = sites[rng.random(len(sites)) < 0.5]
+        if jitter:
+            pts = pts + rng.uniform(-0.2, 0.2, pts.shape)
+        w = {"unit": np.ones(len(pts)), "real": rng.normal(size=len(pts)),
+             "complex": rng.normal(size=len(pts)) + 1j * rng.normal(size=len(pts))}[weights]
+        patch = autocorrelation(WeightedPointSet(dim, pts, w), Box([-1.0] * dim, [9.0] * dim))
+
+        # the full arrays are closed under q -> -q with exactly conjugated coefficients
+        bins = [(k, c) for k, c in zip(patch.keys.tolist(), patch.coeffs) if any(k)]
+        assert (sorted((tuple(k), c.tobytes()) for k, c in bins)
+                == sorted((tuple(-v for v in k), np.conj(c).tobytes()) for k, c in bins))
+
+        box = None if extent is None else Box([-extent[0]] * dim, [extent[1]] * dim)
+        sel = slice(None) if box is None else box.contains(patch.reps)
+        denom = patch.normalizing_volume if box is None else box.volume
+        sizes = []
+        exact_sum = diffraction._exact_sum
+        for xi in np.resize(xis, (len(xis) // dim, dim)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(diffraction, "_exact_sum", lambda x: sizes.append(len(x)) or exact_sum(x))
+                got = intensity_from_autocorr(patch, xi, averaging_box=box)
+            z = patch.coeffs[sel] * np.exp(-2j * np.pi * (patch.reps[sel] @ xi))
+            assert got.hex() == (exact_sum(z.real) / denom).hex()
+            if box is None:  # one term per +-q pair, and the diagonal
+                assert sizes == [(len(patch) - 1) // 2 + 1]
+            sizes.clear()
+
 
 class TestScanSpectrum:
     def test_sorted_and_shaped(self, z100):

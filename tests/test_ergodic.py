@@ -255,6 +255,18 @@ class TestLinearRepetitivity:
             want.append(gap / r)
         assert check_linear_repetitivity(word, radii)["constants"] == want
 
+    @pytest.mark.parametrize("shift", [0, 777, 31337])
+    def test_fibonacci_constants_match_the_recurrence_function(self, fib_word, shift):
+        # Morse & Hedlund (1940): with F = 1, 2, 3, 5, 8, ... and F_k <= r < F_{k+1},
+        # the largest return time of a length-r factor of the Fibonacci word is F_{k+2}
+        fib = [1, 2]
+        while fib[-2] <= 100:  # up to F_{k+2} for the largest F_k <= 100
+            fib.append(fib[-1] + fib[-2])
+        radii = list(range(1, 101))
+        want = [next(fib[k + 2] for k in range(len(fib)) if fib[k] <= r < fib[k + 1]) / r for r in radii]
+        word = fib_word[shift : shift + 20000]
+        assert check_linear_repetitivity(word, radii)["constants"] == want
+
     def test_repeated_unsorted_radii_keep_their_order(self, fib_word):
         word = fib_word[:2000]
         got = check_linear_repetitivity(word, [5, 3, 5, 1])["constants"]
