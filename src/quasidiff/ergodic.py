@@ -6,6 +6,9 @@ offset (a lower bound on the true sup, exact in the minimal case in the limit).
 Subadditive quantities are averaged over randomized Fisher-type domains, and
 linear repetitivity is estimated from maximal recurrence gaps of factors named
 exactly by Karp-Miller-Rosenberg doubling, which also classes observable blocks.
+Factor names are held in the narrowest unsigned type that fits them, so on
+words with few factors (Sturmian words have r + 1 of length r) every sort is
+numpy's 8- or 16-bit radix sort; wider names take the same stable argsort.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def _observable_values(word: str, f: Observable, n: int, offset: int) -> np.ndar
     width = 2 * f.locality + 1
     span = word[offset : offset + n + width - 1]
     _, key = next(_factor_classes(span, [width]))
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    inverse, first = _rank(key)
     try:
         table = np.array([f.table[span[s : s + width]] for s in first.tolist()], dtype=complex)
     except KeyError as exc:
@@ -264,37 +267,83 @@ def subadditive_limit(
     )
 
 
+def _runs(key: np.ndarray):
+    """(order, head): a stable argsort of key, and head[j] true where
+    key[order[j]] starts a run of equal keys in that order.
+
+    numpy's stable sort of 8- and 16-bit integers is a radix sort; wider keys
+    take the same call, which is then a comparison sort.
+    """
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    head = np.empty(len(ks), dtype=bool)
+    head[:1] = True
+    np.not_equal(ks[1:], ks[:-1], out=head[1:])
+    return order, head
+
+
+def _rank(key: np.ndarray):
+    """(rank, first): rank[i] is the number of distinct keys below key[i]
+    (np.unique's inverse), stored in the narrowest unsigned type that holds
+    the largest rank, and first[c] is the first start of the keys of rank c,
+    so there are len(first) classes."""
+    order, head = _runs(key)
+    sorted_rank = np.cumsum(head, dtype=np.min_scalar_type(len(key)))
+    sorted_rank -= 1
+    rank = np.empty(len(key), dtype=np.min_scalar_type(int(sorted_rank[-1])))
+    rank[order] = sorted_rank
+    return rank, order[head]
+
+
+def _pair_key(rank: np.ndarray, classes: int, shift: int) -> np.ndarray:
+    """key[i] = rank[i] * classes + rank[i + shift] for ranks below classes,
+    in the narrowest unsigned type that holds classes**2 - 1."""
+    dtype = np.min_scalar_type(classes * classes - 1)
+    key = rank[: len(rank) - shift].astype(dtype)
+    key *= dtype.type(classes)
+    key += rank[shift:]
+    return key
+
+
 def _factor_classes(word: str, radii):
     """Yield (r, key) for each distinct r in radii, in increasing order; key[i]
     names the length-r factor at start i exactly (equal keys, equal factors).
 
     Karp-Miller-Rosenberg naming: rank[i] names the length-w factor at i for
-    w a power of two, and doubling w is one np.unique of the pairs
-    (rank[i], rank[i + w]). For w <= r < 2w a length-r factor is its
-    length-w prefix followed by its length-w suffix, so the pair
-    (rank[i], rank[i + r - w]) names it. Only the current level is held.
+    w a power of two, and doubling w ranks the pairs (rank[i], rank[i + w]).
+    For w <= r < 2w a length-r factor is its length-w prefix followed by its
+    length-w suffix, so the pair (rank[i], rank[i + r - w]) names it. Only the
+    current level is held. Ranks and pair keys are stored in the narrowest
+    unsigned type that holds them (_rank, _pair_key): while there are at most
+    256 length-w classes every key fits in 16 bits and sorts by radix. Wider
+    keys take the same code, with a comparison sort; there is no other path.
     """
     codes = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
-    uniq, rank = np.unique(codes, return_inverse=True)
-    classes, w = len(uniq), 1
+    rank, first = _rank(codes)
+    classes, w = len(first), 1
     for r in sorted(set(radii)):
         while 2 * w <= r:
-            uniq, rank = np.unique(rank[:-w] * classes + rank[w:], return_inverse=True)
-            classes, w = len(uniq), 2 * w
-        yield r, rank[: len(rank) - (r - w)] * classes + rank[r - w :]
+            rank, first = _rank(_pair_key(rank, classes, w))
+            classes, w = len(first), 2 * w
+        yield r, _pair_key(rank, classes, r - w)
 
 
 def _max_gap(key: np.ndarray, letters: int, r: int) -> int:
     """Largest gap between consecutive starts of equal length-r factors (equal
-    keys), or from a word end to a factor's first or last start."""
-    # a stable sort keeps the starts of equal factors increasing
-    starts = np.argsort(key, kind="stable")
-    ks = key[starts]
-    same = ks[1:] == ks[:-1]
-    gaps = [int(np.diff(starts)[same].max())] if same.any() else []
-    gaps.append(int(starts[np.concatenate([[True], ~same])].max()))
-    gaps.append(int((letters - r - starts[np.concatenate([~same, [True]])]).max()))
-    return max(gaps)
+    keys), or from a word end to a factor's first or last start.
+
+    One stable argsort of the key (_runs), which keeps the starts of equal
+    factors increasing; a radix sort when the key is at most 16 bits wide.
+    """
+    starts, head = _runs(key)
+    last = np.append(head[1:], True)
+    # a step from one factor's last start to the next factor's first start is
+    # at most that first start, so it never beats the second term
+    return max(
+        int(np.diff(starts).max(initial=0)),
+        int(starts[head].max()),
+        letters - r - int(starts[last].min()),
+    )
 
 
 def check_linear_repetitivity(word: str, radii) -> dict:

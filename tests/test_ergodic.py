@@ -8,13 +8,15 @@ from quasidiff import (
     Observable,
     ValidationError,
     check_linear_repetitivity,
+    named_substitution,
     subadditive_limit,
+    substitution_fixed_point,
     ww_average,
     ww_report,
     ww_sup_over_frequencies,
     ww_sup_over_offsets,
 )
-from quasidiff.ergodic import _observable_values
+from quasidiff.ergodic import _factor_classes, _observable_values
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -240,7 +242,8 @@ class TestLinearRepetitivity:
         assert out["constants"][-1] > 4 * out["constants"][0]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.text(alphabet="abc", min_size=4, max_size=300))
+    # 17 letters: the radius-1 key needs 17**2 - 1 = 288 > 255, one step past uint8
+    @given(st.text(alphabet="abcdefghijklmnopq", min_size=4, max_size=300))
     def test_constants_match_a_dictionary_scan(self, word):
         radii = list(range(1, len(word) // 4 + 1))
         want = []
@@ -282,3 +285,73 @@ class TestLinearRepetitivity:
             check_linear_repetitivity("ab" * 100, [0])
         with pytest.raises(ValidationError):
             check_linear_repetitivity("ab" * 100, [])
+
+
+def _int64_constants(word, radii):
+    """check_linear_repetitivity with int64 pair keys, np.unique ranks and one
+    stable comparison argsort per radius: the reference the narrow keys replace."""
+    uniq, rank = np.unique(np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32), return_inverse=True)
+    classes, w, by_radius = len(uniq), 1, {}
+    for r in sorted(set(radii)):
+        while 2 * w <= r:
+            uniq, rank = np.unique(rank[:-w].astype(np.int64) * classes + rank[w:], return_inverse=True)
+            classes, w = len(uniq), 2 * w
+        key = rank[: len(rank) - (r - w)].astype(np.int64) * classes + rank[r - w :]
+        starts = np.argsort(key, kind="stable")
+        ks = key[starts]
+        same = ks[1:] == ks[:-1]
+        gaps = [int(np.diff(starts)[same].max())] if same.any() else []
+        gaps.append(int(starts[np.concatenate([[True], ~same])].max()))
+        gaps.append(int((len(word) - r - starts[np.concatenate([~same, [True]])]).max()))
+        by_radius[r] = max(gaps) / r
+    return [by_radius[r] for r in radii]
+
+
+def _word(codes, first):
+    return "".join(chr(first + int(c)) for c in codes)
+
+
+class TestFactorKeyWidths:
+    """Pair keys are stored in the narrowest unsigned type holding classes**2 - 1;
+    the constants must not depend on that width."""
+
+    @pytest.mark.parametrize("letters, bits", [(16, 8), (17, 16), (256, 16), (257, 32)])
+    @pytest.mark.parametrize("kind", ["random", "rotation"])
+    def test_letter_counts_at_the_width_steps(self, letters, bits, kind):
+        n = 4000
+        if kind == "random":
+            codes = np.random.default_rng(letters).integers(0, letters, n)
+        else:  # a coding of the rotation by sqrt(2): few factors, long recurrences
+            codes = np.floor(np.arange(n) * np.sqrt(2.0)).astype(np.int64) % letters
+        codes[:letters] = np.arange(letters)  # every letter occurs
+        word = _word(codes, 0x100)
+        (_, key), = _factor_classes(word, [1])
+        assert key.dtype.itemsize * 8 == bits
+        radii = [1, 2, 3, 5, 8, 13, 64, 100, 7, 1]
+        assert check_linear_repetitivity(word, radii)["constants"] == _int64_constants(word, radii)
+
+    def test_more_than_two_to_the_sixteen_letters(self):
+        letters = 70000
+        rng = np.random.default_rng(11)
+        codes = np.concatenate([rng.permutation(letters), rng.integers(0, letters, letters)])
+        word = _word(codes, 0x20000)
+        (_, key), = _factor_classes(word, [1])
+        assert key.dtype == np.uint64
+        radii = [1, 2, 3, 4, 6, 9]
+        assert check_linear_repetitivity(word, radii)["constants"] == _int64_constants(word, radii)
+
+    def test_random_word_with_more_than_two_to_the_sixteen_classes(self):
+        word = _word(np.random.default_rng(4).integers(0, 4, 200000), ord("a"))
+        radii = [4, 9, 12, 16, 17, 31, 50]
+        for r, key in _factor_classes(word, radii):
+            if r >= 9:
+                assert len(np.unique(key)) > 2**16
+        assert check_linear_repetitivity(word, radii)["constants"] == _int64_constants(word, radii)
+
+    def test_fibonacci_keys_sort_by_radix(self):
+        # numpy's stable sort is a radix sort up to 16 bits; on the Fibonacci
+        # word r + 1 classes of length-r factors keep every key that narrow
+        word = substitution_fixed_point(named_substitution("fibonacci"), 200000)[:200000]
+        widths = {r: key.dtype.itemsize for r, key in _factor_classes(word, range(1, 101))}
+        assert sorted(widths) == list(range(1, 101))
+        assert max(widths.values()) <= 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 from quasidiff import (
     Box,
@@ -77,7 +78,7 @@ class TestCharFn:
         xi = 0.83
         n = 200001
         xs = np.linspace(-0.17, 0.17, n)
-        quad = np.trapezoid(np.exp(-2j * np.pi * xi * xs), xs) / 0.34
+        quad = trapezoid(np.exp(-2j * np.pi * xi * xs), xs) / 0.34
         assert char_fn(d, [xi]) == pytest.approx(quad, abs=1e-9)
 
     def test_two_point(self):
