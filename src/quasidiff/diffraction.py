@@ -32,6 +32,8 @@ from .pointset import WeightedPointSet, _min_separation_raw
 _PAIR_BUDGET = 5 * 10**8
 # hard ceiling on distinct difference bins (memory guard)
 _BIN_BUDGET = 10**7
+# pairs in one 1D batch of index offsets, unless one offset has more
+_PAIR_BLOCK = 2**19
 # most worker threads scan_spectrum will start: 64, or the core count if higher
 _THREAD_CAP = max(64, os.cpu_count() or 1)
 # _exact_sum's bucket sums stay exact for fewer terms than this
@@ -238,7 +240,7 @@ class AutocorrelationPatch:
             return np.concatenate([diag, np.stack([pos, neg], axis=1).reshape(-1, *pos.shape[1:])])
 
         full = layout(origin.astype(np.int64), keys, -keys)
-        order = np.lexsort(full.T[::-1])
+        order, _ = _lexorder(full.T)
         arrays = (full[order], layout([self._diagonal], coeffs, np.conj(coeffs))[order],
                   layout(origin, reps, -reps)[order], layout(origin, spreads, spreads)[order])
         for a in arrays:
@@ -265,22 +267,102 @@ class AutocorrelationPatch:
         return float(self._half[3].max(initial=0.0))
 
 
-def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic order of the key rows and the first row of each run of equal keys."""
-    order = np.lexsort(keys.T[::-1])
-    ks = keys[order]
-    return order, np.flatnonzero(np.r_[len(ks) > 0, np.any(ks[1:] != ks[:-1], axis=1)])
+def _lexorder(cols) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts) of integer key columns of equal length, most significant
+    first: order is np.lexsort(cols[::-1]), the stable lexicographic order of
+    the rows, and starts the positions in it where a run of equal rows begins.
+
+    Each column is taken as an offset from its minimum, and the rows are
+    sorted by digits of these offsets, least significant first (Knuth, TAOCP
+    vol. 3, 5.2.5). A digit packs as many whole columns as fit into the high
+    64 - p bits of a uint64, p = bits(n - 1); a wider column is split into
+    digits of 64 - p bits. A pass writes digit << p | j for the row at
+    position j of the current order into one word buffer. The words are
+    distinct, so numpy's unstable vectorized sort of them is the stable sort
+    by digit, and their low p bits give the next order. After a single pass
+    the runs are read from the sorted words; after more, from the gathered
+    columns.
+    """
+    n = len(cols[0])
+    if n == 0:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    p = (n - 1).bit_length()
+    room = 64 - p
+    # digits, least significant first; a digit lists its pieces, least
+    # significant first, as (column, minimum, low bit, bits): whole columns,
+    # or alone one slice of a column wider than room
+    digits, digit, used = [], [], 0
+    for col in reversed(cols):
+        lo = int(col.min())
+        width = (int(col.max()) - lo).bit_length()
+        if digit and used + width > room:
+            digits.append(digit)
+            digit, used = [], 0
+        if width > room:
+            digits += [[(col, lo, s, room)] for s in range(0, width, room)]
+        elif width:
+            digit.append((col, lo, 0, width))
+            used += width
+    if digit or not digits:
+        digits.append(digit)
+    shift, low = np.uint64(p), np.uint64((1 << p) - 1)
+    w = np.zeros(n, np.uint64)  # stays 0 when every column is constant
+    order = np.arange(n, dtype=np.intp)  # the positions of the first pass, then the order
+    for t, digit in enumerate(digits):
+        for k, (col, lo, skip, bits) in enumerate(reversed(digit)):  # most significant first
+            if k:
+                w <<= np.uint64(bits)
+                np.add(w, col[order] if t else col, out=w, dtype=np.uint64, casting="unsafe")
+            else:
+                _load(w, col, order if t else None)
+            w -= np.uint64(lo % 2**64)  # the offset from the minimum, modulo 2**64
+            if skip:
+                w >>= np.uint64(skip)
+        w <<= shift  # drops the bits above the digit of a slice
+        pos = np.arange(n, dtype=np.intp) if t else order
+        w |= pos.view(np.uint64)
+        w.sort()
+        if t:
+            np.take(order, np.bitwise_and(w, low, out=w).view(np.intp), out=pos, mode="clip")
+            order = pos
+        else:
+            np.bitwise_and(w, low, out=order.view(np.uint64))
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    if len(digits) == 1:  # each sorted word holds its key above its position
+        w >>= shift
+        np.not_equal(w[1:], w[:-1], out=new[1:])
+    else:
+        new[1:] = False
+        for col in cols:
+            _load(w, col, order)
+            new[1:] |= w[1:] != w[:-1]
+    return order, np.flatnonzero(new)
 
 
-def _aggregate_bins(acc: list, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray) -> int:
+def _load(w: np.ndarray, col: np.ndarray, order: np.ndarray | None) -> None:
+    """w[:] = col, or col[order], as uint64; a 64-bit column is gathered into w directly."""
+    if order is not None and col.dtype.itemsize == 8:
+        np.take(col.view(np.uint64), order, out=w, mode="clip")
+    else:
+        w[...] = col if order is None else col[order]
+
+
+def _aggregate_bins(acc: list, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray,
+                    lead: np.ndarray | None = None) -> int:
     """Append one batch of quantized pairs to acc as a run of bins, in key order.
 
     A run holds each bin's key, pairwise sum of products, first raw difference
-    and per-axis raw minimum and maximum. Returns the number of bins.
+    and per-axis raw minimum and maximum. With a lead column the pairs are
+    grouped by (lead, key), so the run lays the runs of each lead value end to
+    end and may repeat a key. Returns the number of bins.
     """
-    order, starts = _group(qkeys)
-    ds, ps = raw[order], prod[order]
-    sums = np.column_stack([np.add.reduceat(ps.real, starts), np.add.reduceat(ps.imag, starts)])
+    order, starts = _lexorder([lead, *qkeys.T] if lead is not None else qkeys.T)
+    ds = raw[order]
+    if len(starts) == len(order):  # a pair per bin: reduceat would copy each row
+        acc.append((qkeys[order], prod[order], ds, ds, ds))
+        return len(starts)
+    sums = np.column_stack([np.add.reduceat(part[order], starts) for part in (prod.real, prod.imag)])
     acc.append((qkeys[order[starts]], sums.view(complex).ravel(), ds[starts],
                 np.minimum.reduceat(ds, starts), np.maximum.reduceat(ds, starts)))
     return len(starts)
@@ -293,7 +375,9 @@ def _merge_runs(runs: list) -> tuple:
     representative is kept, so merging merged runs again changes no bit.
     """
     keys, sums, reps, mins, maxs = map(np.concatenate, zip(*runs))
-    order, starts = _group(keys)
+    order, starts = _lexorder(keys.T)
+    if len(starts) == len(keys):  # distinct already, in order of appearance
+        return keys, sums, reps, mins, maxs
     head = np.zeros(len(keys), dtype=bool)
     head[starts] = True
     ss = sums[order]
@@ -307,8 +391,9 @@ def _merge_runs(runs: list) -> tuple:
 
 
 def _quantize(raw: np.ndarray, eps: float) -> np.ndarray:
-    q = np.round(raw / eps)
-    if np.any(np.abs(q) > 2.0**62):
+    q = np.divide(raw, eps)
+    np.round(q, out=q)
+    if len(q) and max(q.max(), -q.min()) > 2.0**62:
         raise NumericalDiagnosticError(
             "difference bin index overflows int64; bin_epsilon is too small for "
             "the patch diameter"
@@ -317,26 +402,50 @@ def _quantize(raw: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
-    """Yield (x_i - x_j, w_i conj(w_j)) batches: 1D by index offset, else kd-tree or dense blocks."""
+    """Yield (x_i - x_j, w_i conj(w_j), lead) batches of the pairs i > j.
+
+    1D: blocks of consecutive index offsets k = i - j, offset-major, of at
+    most _PAIR_BLOCK pairs or one offset, filled by slices into buffers
+    reused from block to block; lead holds k - k0 for the block's first
+    offset k0. A radius drops the pairs beyond it, and the blocks, doubling
+    from one offset, stop after the first offset that keeps none (the points
+    are sorted, so no later offset keeps one). 2D, lead None: kd-tree pairs
+    ordered by (j, i), or dense blocks of rows i ordered by j, then i.
+    """
     n, dim = pts.shape
     if n < 2:
         return
     if dim == 1:
-        x = pts[:, 0]
-        for off in range(1, n):
-            d = x[off:] - x[:-off]
-            keep = d <= (np.inf if max_radius is None else max_radius)
-            if not keep.any():
-                break
-            yield d[keep][:, None], w[off:][keep] * np.conj(w[:-off][keep])
+        x, wc = pts[:, 0], np.conj(w)
+        cap = min(max(_PAIR_BLOCK, n - 1), n * (n - 1) // 2)
+        d, prod, lead = np.empty(cap), np.empty(cap, wc.dtype), np.empty(cap, np.min_scalar_type(n))
+        size = cap if max_radius is None else n - 1  # a radius may keep few offsets: grow to cap
+        off = 1
+        while off < n:
+            k0, m = off, 0
+            while off < n and m + n - off <= size:
+                s = slice(m, m + n - off)
+                np.subtract(x[off:], x[:-off], out=d[s])
+                np.multiply(w[off:], wc[:-off], out=prod[s])
+                lead[s] = off - k0
+                m, off = s.stop, off + 1
+            size = min(2 * size, cap)
+            block = d[:m], prod[:m], lead[:m]
+            if max_radius is not None:
+                keep = block[0] <= max_radius
+                if not keep[m - (n - off + 1) :].any():  # the block's last offset
+                    off = n
+                block = tuple(a[keep] for a in block)
+            if len(block[0]):
+                yield block[0][:, None], block[1], block[2]
     elif max_radius is not None:
         from scipy.spatial import cKDTree
 
         pairs = cKDTree(pts).query_pairs(max_radius, output_type="ndarray")
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        pairs = pairs[_lexorder(pairs.T)[0]]
         for start in range(0, len(pairs), 2**20):
             ij = pairs[start : start + 2**20]
-            yield pts[ij[:, 1]] - pts[ij[:, 0]], w[ij[:, 1]] * np.conj(w[ij[:, 0]])
+            yield pts[ij[:, 1]] - pts[ij[:, 0]], w[ij[:, 1]] * np.conj(w[ij[:, 0]]), None
     else:
         block = max(1, 2**21 // n)
         for i0 in range(0, n, block):
@@ -344,7 +453,9 @@ def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
             # the pairs i > j with i in [i0, i1), ordered by j, then i
             jj, ii = np.nonzero(np.arange(i0, i1) > np.arange(i1 - 1)[:, None])
             ii += i0
-            yield pts[ii] - pts[jj], w[ii] * np.conj(w[jj])
+            batch = pts[ii] - pts[jj], w[ii] * np.conj(w[jj]), None
+            del jj, ii  # not held while the batch is aggregated
+            yield batch
 
 
 def autocorrelation(
@@ -363,10 +474,12 @@ def autocorrelation(
 
     bin_epsilon defaults to 1e-6 times the minimum separation and must stay
     below half the minimum separation so distinct points cannot share a bin.
-    Each batch of the pairs i > j (_pair_batches) is sorted by bin key and
-    reduced to a run of bins held in arrays; one more sort merges the runs
-    into the bins, adding each bin's partial sums in batch order (a single
-    run is merged already). The patch stores only these bins and the
+    Each batch of the pairs i > j (_pair_batches) is sorted by bin key
+    (_lexorder) and reduced to a run of bins held in arrays; a 1D batch is a
+    block of index offsets, sorted by (offset, key), so its run is the runs
+    of its offsets end to end. One more sort merges the runs into the bins,
+    adding each bin's partial sums in offset or batch order; only a single
+    2D batch is merged already. The patch stores only these bins and the
     diagonal; their mirrors at -q, the exact conjugates, are laid out when
     its public arrays are first read.
     """
@@ -395,19 +508,20 @@ def autocorrelation(
         )
 
     dim, vol = wps.dim, box.volume
-    runs = []
-    held = 0
-    for d, prod in _pair_batches(pts, w, max_radius):
-        held += _aggregate_bins(runs, _quantize(d, bin_epsilon), d, prod)
+    runs, held = [], 0
+    merged = False  # runs is one run of distinct bins
+    for d, prod, lead in _pair_batches(pts, w, max_radius):
+        held += _aggregate_bins(runs, _quantize(d, bin_epsilon), d, prod, lead)
+        merged = len(runs) == 1 and lead is None  # a 2D batch repeats no key
         if held > _BIN_BUDGET:  # runs may repeat a bin: count the distinct ones
-            runs = [_merge_runs(runs)]
+            runs, merged = [_merge_runs(runs)], True
             held = len(runs[0][0])
             if held > _BIN_BUDGET:
                 raise ResourceLimitError(
                     f"autocorrelation produced more than {_BIN_BUDGET} distinct difference "
                     "bins; truncate with max_radius or coarsen bin_epsilon"
                 )
-    if len(runs) != 1:  # a single run (one batch, or runs merged above) is merged already
+    if not merged:
         # an empty run, so that a patch without pairs merges to no bins
         runs.append((np.zeros((0, dim), np.int64), np.zeros(0, complex), *np.zeros((3, 0, dim))))
         runs = [_merge_runs(runs)]

@@ -8,7 +8,8 @@ linear repetitivity is estimated from maximal recurrence gaps of factors named
 exactly by Karp-Miller-Rosenberg doubling, which also classes observable blocks.
 Factor names are held in the narrowest unsigned type that fits them, so on
 words with few factors (Sturmian words have r + 1 of length r) every sort is
-numpy's 8- or 16-bit radix sort; wider names take the same stable argsort.
+numpy's 8- or 16-bit radix sort; wider names are packed with their positions
+into uint64 words and take numpy's vectorized sort.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffraction import _lexorder
 from .errors import ValidationError
 from .geometry import Box, FisherFamily, fisher_boxes
 from .randomize import _rng
@@ -271,9 +273,16 @@ def _runs(key: np.ndarray):
     """(order, head): a stable argsort of key, and head[j] true where
     key[order[j]] starts a run of equal keys in that order.
 
-    numpy's stable sort of 8- and 16-bit integers is a radix sort; wider keys
-    take the same call, which is then a comparison sort.
+    numpy's stable sort of 8- and 16-bit integers is a radix sort. Wider keys
+    go to the packed sort of diffraction._lexorder: each key's offset from
+    the minimum and its position in one uint64 word, sorted by numpy's
+    vectorized sort, in place of a comparison sort.
     """
+    if key.dtype.itemsize > 2:
+        order, starts = _lexorder([key])
+        head = np.zeros(len(key), dtype=bool)
+        head[starts] = True
+        return order, head
     order = np.argsort(key, kind="stable")
     ks = key[order]
     head = np.empty(len(ks), dtype=bool)
@@ -316,7 +325,7 @@ def _factor_classes(word: str, radii):
     current level is held. Ranks and pair keys are stored in the narrowest
     unsigned type that holds them (_rank, _pair_key): while there are at most
     256 length-w classes every key fits in 16 bits and sorts by radix. Wider
-    keys take the same code, with a comparison sort; there is no other path.
+    keys, and the 32-bit letter codes, take the packed uint64 sort of _runs.
     """
     codes = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
     rank, first = _rank(codes)
@@ -332,7 +341,7 @@ def _max_gap(key: np.ndarray, letters: int, r: int) -> int:
     """Largest gap between consecutive starts of equal length-r factors (equal
     keys), or from a word end to a factor's first or last start.
 
-    One stable argsort of the key (_runs), which keeps the starts of equal
+    One stable sort of the key (_runs), which keeps the starts of equal
     factors increasing; a radix sort when the key is at most 16 bits wide.
     """
     starts, head = _runs(key)

@@ -164,6 +164,57 @@ class TestExactSum:
             diffraction._exact_sum(x[:3])  # below it: the buckets
 
 
+@st.composite
+def _key_columns(draw):
+    """1 to 3 integer key columns of 0, 1 or many rows, drawn from pools of a
+    few values (heavy duplicates) or many, narrow or up to 64 bits wide."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 2, 3, 17, 300, 5000]))
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["int64", "wide", "uint64", "uint16", "uint32"]))
+        pool = {
+            "int64": lambda k: rng.integers(-3, 4, k),
+            "wide": lambda k: rng.integers(-2**62, 2**62, k, endpoint=True),  # two digits or more
+            "uint64": lambda k: rng.integers(0, 2**64 - 1, k, dtype=np.uint64, endpoint=True),
+            "uint16": lambda k: rng.integers(0, 2**16, k).astype(np.uint16),
+            "uint32": lambda k: rng.integers(0, 2**32, k).astype(np.uint32),
+        }[kind](draw(st.sampled_from([1, 2, 5, 10**6])))
+        cols.append(pool[rng.integers(0, len(pool), n)])
+    return cols
+
+
+class TestLexorder:
+    """_lexorder is np.lexsort of the columns (stable, first column most
+    significant) with the starts of the runs of equal rows."""
+
+    @given(_key_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_order_and_runs_match_lexsort(self, cols):
+        from quasidiff.diffraction import _lexorder
+
+        order, starts = _lexorder(cols)
+        want = np.lexsort(cols[::-1])
+        assert order.dtype == np.intp and order.tobytes() == want.tobytes()
+        rows = [c[want] for c in cols]
+        new = np.zeros(len(want), dtype=bool)
+        new[:1] = True
+        for r in rows:
+            new[1:] |= r[1:] != r[:-1]
+        assert starts.tolist() == np.flatnonzero(new).tolist()
+
+    def test_extreme_columns_take_several_digits(self):
+        from quasidiff.diffraction import _lexorder
+
+        rng = np.random.default_rng(3)
+        for dtype, lo, hi in [(np.int64, -2**63, 2**63 - 1), (np.uint64, 0, 2**64 - 1)]:
+            cols = [rng.choice(np.array([lo, hi, lo + 1, hi - 1, 0], dtype=dtype), 1000) for _ in range(3)]
+            order, starts = _lexorder(cols)
+            want = np.lexsort(cols[::-1])
+            assert order.tobytes() == want.tobytes()
+            assert len(starts) == len({tuple(r) for r in np.stack(cols, 1).tolist()})
+
+
 class TestIntensitySequence:
     def test_converges_on_golden_chain(self, fib_patch_mid):
         boxes = _vanhove(6910.0, 800.0, 2.0, 4)
@@ -276,6 +327,44 @@ class TestAutocorrelation:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             batches += 1
         assert batches == 2  # 1600 points make blocks of 2**21 // 1600 = 1310
+
+    @pytest.mark.parametrize("block", [None, 1000, 1])  # None: the default
+    @pytest.mark.parametrize("radius", [None, 20.0])
+    @pytest.mark.parametrize("patch", ["chain", "jittered"])
+    def test_offset_blocks_match_the_per_offset_loop(self, monkeypatch, block, radius, patch):
+        from quasidiff import diffraction
+
+        def per_offset(pts, w, max_radius):
+            # reference: one batch per index offset, stopping at the first that keeps no pair
+            x = pts[:, 0]
+            for off in range(1, len(x)):
+                d = x[off:] - x[:-off]
+                keep = d <= (np.inf if max_radius is None else max_radius)
+                if not keep.any():
+                    break
+                yield d[keep][:, None], w[off:][keep] * np.conj(w[:-off][keep]), None
+
+        rng = np.random.default_rng(2)
+        if patch == "chain":  # a diluted integer chain: bins fed by many offsets
+            x = np.flatnonzero(np.random.default_rng(0).random(300) < 0.5).astype(float)
+            wps = WeightedPointSet(1, x, np.exp(1j * x))
+        else:  # every difference its own bin
+            x = np.arange(200.0) + rng.uniform(-0.3, 0.3, 200)
+            wps = WeightedPointSet(1, x, rng.normal(size=200) + 1j * rng.normal(size=200))
+        box = Box([-1.0], [301.0])
+        if block is not None:
+            monkeypatch.setattr(diffraction, "_PAIR_BLOCK", block)
+        got = autocorrelation(wps, box, max_radius=radius)
+        blocks = list(diffraction._pair_batches(wps.points, wps.weights, radius))
+        # one block holds every pair; under a radius the blocks grow from one offset
+        assert (len(blocks) == 1) == (block is None and radius is None)
+        monkeypatch.setattr(diffraction, "_pair_batches", per_offset)
+        want = autocorrelation(wps, box, max_radius=radius)
+        for a, b in zip(got._half, want._half):
+            assert a.tobytes() == b.tobytes()
+        assert got._diagonal == want._diagonal
+        for name in ("keys", "coeffs", "reps", "spreads"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_bin_budget(self, monkeypatch):
         from quasidiff import ResourceLimitError, diffraction
