@@ -54,6 +54,7 @@ from .geometry import Box, VanHoveCubes, _vector, cube_sequence
 from .pointset import (
     Substitution,
     WeightedPointSet,
+    _json_text,
     named_substitution,
     substitution_fixed_point,
     word_to_pointset,
@@ -114,7 +115,7 @@ def _emit_json(payload: dict, args: argparse.Namespace, input_path: str | None =
     obj = dict(_envelope(args, input_path))
     obj.update(payload)
     with _invalid("output has a non-finite number"):
-        text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+        text = _json_text(obj)
     _emit(text + "\n", args.output)
 
 
@@ -271,11 +272,11 @@ def _load_scheme(text: str):
 def _load_pointset(path: str) -> WeightedPointSet:
     with _invalid(f"point-set file {path}"):
         obj = json.loads(Path(path).read_text())
-        return WeightedPointSet.from_json(obj["pointset"] if "pointset" in obj else obj)
+        return WeightedPointSet.from_json(obj.get("pointset", obj) if isinstance(obj, dict) else obj)
 
 
 def _write_pointset(wps: WeightedPointSet, args: argparse.Namespace, input_path: str | None = None) -> None:
-    _emit_json({"pointset": wps.to_json()}, args, input_path)
+    _emit_json({"pointset": wps._record()}, args, input_path)
 
 
 def _load_substitution(args: argparse.Namespace) -> Substitution:

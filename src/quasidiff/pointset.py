@@ -91,35 +91,63 @@ class WeightedPointSet:
         return self.points.min(axis=0), self.points.max(axis=0)
 
     def to_json(self) -> dict:
-        obj = {"dim": self.dim, "points": self.points.tolist()}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self._record().items()}
+
+    def _record(self) -> dict:
+        """to_json's object with the points (n, dim) and weights (n, 2) re/im left as arrays."""
+        rec = {"dim": self.dim, "points": self.points}
         if np.any(self.weights != 1):
-            obj["weights"] = [[z.real, z.imag] for z in self.weights]
-        obj["meta"] = _meta_record(self.meta)
-        return obj
+            rec["weights"] = self.weights.view(float).reshape(-1, 2)
+        rec["meta"] = _meta_record(self.meta)
+        return rec
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightedPointSet":
         try:
             dim = int(obj["dim"])
             pts = np.asarray(obj["points"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"point-set object needs 'dim' and 'points': {exc}")
+            raw = None if obj.get("weights") is None else np.asarray(obj["weights"], dtype=float)
+            meta = dict(obj.get("meta") or {})
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"point set needs 'dim', 'points', numeric 'weights', a 'meta' object: {exc}")
         if pts.size == 0:
             pts = pts.reshape(0, dim)
         w = None
-        if obj.get("weights") is not None:
-            raw = obj["weights"]
-            if len(raw) != len(pts) or any(len(p) != 2 for p in raw):
+        if raw is not None:
+            if raw.shape != (len(pts), 2) and raw.size + len(pts):  # an empty patch may hold []
                 raise ValidationError("'weights' must be [[re, im], ...] matching points")
-            w = np.array([complex(p[0], p[1]) for p in raw])
-        return cls(dim, pts, w, dict(obj.get("meta") or {}))
+            w = np.empty(len(pts), dtype=complex)
+            w.real, w.imag = raw.reshape(-1, 2).T
+        return cls(dim, pts, w, meta)
 
     def dump(self, fp) -> None:
-        json.dump(self.to_json(), fp, sort_keys=True, indent=1)
+        fp.write(_json_text(self._record()))
 
     @classmethod
     def load(cls, fp) -> "WeightedPointSet":
         return cls.from_json(json.load(fp))
+
+
+def _json_text(v, nl: str = "\n") -> str:
+    """json.dumps(v, sort_keys=True, indent=1, allow_nan=False), with each (n, d) float
+    ndarray joined from float.__repr__ of its numbers (json's format). Values other than
+    dicts with str keys and arrays go through json.dumps, re-indented (JSON strings hold
+    no raw newline)."""
+    deeper = nl + " "
+    if isinstance(v, np.ndarray):
+        if not np.isfinite(v).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        if v.size == 0:
+            return "[]"
+        cells = map(float.__repr__, v.ravel().tolist())
+        if v.shape[1] > 1:
+            cells = map(f",{deeper} ".join, zip(*[cells] * v.shape[1]))
+        rows = f"{deeper}],{deeper}[{deeper} ".join(cells)
+        return f"[{deeper}[{deeper} {rows}{deeper}]{nl}]"
+    if isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
+        items = ",".join(f"{deeper}{json.dumps(k)}: {_json_text(v[k], deeper)}" for k in sorted(v))
+        return f"{{{items}{nl}}}"
+    return json.dumps(v, sort_keys=True, indent=1, allow_nan=False).replace("\n", nl)
 
 
 def _meta_record(meta: dict) -> dict:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasidiff import Box, WeightedPointSet, model_set, spectrum_from_csv
+from quasidiff import Box, ValidationError, WeightedPointSet, model_set, spectrum_from_csv
 from quasidiff.cli import main
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
@@ -511,6 +512,39 @@ class TestErrors:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "pointset, message",
+        [
+            ({"dim": 1, "points": [[0.0], [1.0]], "weights": [1, 2]}, "'weights' must be"),
+            ({"dim": 1, "points": [[0.0], [1.0]], "weights": 5}, "'weights' must be"),
+            ({"dim": 1, "points": [[0.0], [1.0]], "weights": [[1, "x"], [1, 0]]}, "numeric 'weights'"),
+            ({"dim": 1, "points": [[0.0], [1.0]], "meta": [1]}, "a 'meta' object"),
+            (5, "point set needs 'dim'"),
+        ],
+        ids=["weights-flat", "weights-number", "weights-string", "meta-list", "not-an-object"],
+    )
+    def test_malformed_pointset_exit_code(self, pointset, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(pointset))
+        assert run("diffract", "scan", "--input", str(path), "--box", "0,2", "--xi", "0") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    def test_non_finite_output_exit_code(self, tmp_path, capsys):
+        from quasidiff import cli
+
+        path = tmp_path / "nan-meta.json"
+        path.write_text(json.dumps({"dim": 1, "points": [[0.0], [1.0]], "meta": {"x": float("nan")}}))
+        out = tmp_path / "out.json"
+        assert run("perturb", "percolate", "--input", str(path), "--p", "0.5", "--seed", "1",
+                   "--output", str(out)) == 2
+        assert "error: output has a non-finite number" in capsys.readouterr().err
+        assert not out.exists()
+        args = argparse.Namespace(command="gen", output=str(out), spacing=float("inf"))
+        with pytest.raises(ValidationError, match="output has a non-finite number"):
+            cli._emit_json({}, args)
+        assert not out.exists()
+
     def test_vanhove_cube_cap_exit_code(self, lattice_file, monkeypatch, capsys):
         from quasidiff import cli
 
@@ -649,3 +683,52 @@ class TestContract:
             code = main(argv)
         assert code in (0, 2, 3, 4), argv
         assert "Traceback" not in err.getvalue()
+
+
+def _weighted_patch():
+    """40 points in 2D with complex weights, from exact arithmetic only."""
+    k = np.arange(40.0)
+    pts = np.stack([(k * 0.6180339887498949) % 1.0 * 6.0 - 3.0, (k * 0.4142135623730951) % 1.0], axis=1)
+    w = (k * 0.37) % 1.0 - 0.5 + 1j * ((k * 0.73) % 1.0)
+    meta = {"generator": "test", "params": {"note": 'line\nbreak "q" é "points": ['}, "seed": 7}
+    return WeightedPointSet(2, pts, w, meta)
+
+
+# (output, argv): run in one directory, so that relative paths enter the config
+_PINNED_COMMANDS = [
+    ("model-set.json", ("gen", "model-set", "--scheme", "fibonacci", "--box", "0,300")),
+    ("lattice2d.json", ("gen", "lattice", "--dim", "2", "--box", "0,0;3,2", "--spacing", "0.3")),
+    ("word.json", ("gen", "substitution", "--rules", "fibonacci", "--length", "40")),
+    ("empty.json", ("gen", "lattice", "--box", "0.2,0.7")),
+    ("lattice1d.json", ("gen", "lattice", "--box", "0,200")),
+    ("percolated.json", ("perturb", "percolate", "--input", "weighted.json", "--p", "0.6", "--seed", "4")),
+    ("subadditive.json", ("check", "subadditive", "--input", "lattice1d.json", "--xi", "0",
+                          "--scales", "5,10", "--samples", "3", "--seed", "1")),
+]
+# sha256 of each output, and of WeightedPointSet.dump of _weighted_patch(),
+# taken before point sets were written without json.dumps' indented encoder
+_PINNED_SHA256 = {
+    "weighted.json": "d1d58aae42734263308c17dbe1f5b13661dc1c6a6beebf7e74a036c90f9565d3",
+    "model-set.json": "3fe3e2c53b2e063b82506093b2466bcd913ea0a940c40c8bdcfe645b0a72419c",
+    "lattice2d.json": "ade289a3aa5d83ad75e11d2bbeb62012ee309da0b01be26075724695a6dfd7e7",
+    "word.json": "f0fe37999b1a908a8e9bf3ef0ea64566e94c167638e213f23590a8ab428bef08",
+    "empty.json": "97112002aa5d72f8c7a9987aa6859fde75bfce7595b0fb05534c0257822b0579",
+    "lattice1d.json": "0f9d0e3fff52d3948579092de8d7227500eb8148580f89bdb1472dcf0a0f0009",
+    "percolated.json": "1cab776b82ad4ca112fa15fb44d2aa16512442fccc1aaab97ad99d4976dc621a",
+    "subadditive.json": "2b8543c18a1dd31af1ca7706e10d880ac18dea9266c55c57f62d28f4f6dfcebf",
+}
+
+
+def _pinned_digests(directory) -> dict:
+    with open(directory / "weighted.json", "w") as fh:
+        _weighted_patch().dump(fh)
+    for name, argv in _PINNED_COMMANDS:
+        assert run(*argv, "--output", name) == 0, argv
+    names = ["weighted.json"] + [name for name, _ in _PINNED_COMMANDS]
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
+
+class TestPinnedBytes:
+    def test_outputs_keep_their_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert _pinned_digests(tmp_path) == _PINNED_SHA256

@@ -1,4 +1,6 @@
 import io
+import json
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from quasidiff import (
     substitution_fixed_point,
     word_to_pointset,
 )
+from quasidiff.pointset import _json_text
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -212,3 +215,75 @@ class TestMinSeparation:
             abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1 :]
         )
         assert min_separation(wps) == pytest.approx(brute)
+
+
+# floats whose shortest repr takes each form: signed zero, subnormal, exponent, largest
+_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-5, 1e22, sys.float_info.max, -1.5]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+_TEXT = st.sampled_from(['"points": [', "line\nbreak", 'quote " and \\', "\u00e9\u2028", ""]) | st.text(max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT,
+    lambda c: st.lists(c, max_size=3) | st.dictionaries(_TEXT, c, max_size=3)
+    | st.dictionaries(st.integers(), c, max_size=2),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _float_arrays(draw):
+    n, d = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    return np.array(draw(st.lists(_FLOATS, min_size=n * d, max_size=n * d)), dtype=float).reshape(n, d)
+
+
+def _plain(v):
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return {k: _plain(x) for k, x in v.items()} if isinstance(v, dict) else v
+
+
+def _dumps(v):
+    return json.dumps(_plain(v), sort_keys=True, indent=1, allow_nan=False)
+
+
+class TestJsonText:
+    @given(st.recursive(_float_arrays() | _JSON, lambda c: st.dictionaries(_TEXT, c, max_size=4), max_leaves=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, obj):
+        assert _json_text(obj) == _dumps(obj)
+
+    @given(
+        dim=st.integers(1, 3),
+        n=st.integers(0, 6),
+        weighted=st.booleans(),
+        note=_TEXT,
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_point_set_record(self, dim, n, weighted, note, data):
+        coords = data.draw(st.lists(_FLOATS, min_size=n * dim, max_size=n * dim, unique=True))
+        w = np.array(data.draw(st.lists(_FLOATS, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+        wps = WeightedPointSet(dim, np.array(coords).reshape(n, dim), w.view(complex)[:, 0] if weighted else None,
+                               {"generator": "test", "params": {}, "seed": None, "note": note})
+        # the record as json.dumps was given it before the writer took arrays
+        ref = {"dim": dim, "points": wps.points.tolist(), "meta": wps.meta}
+        if np.any(wps.weights != 1):
+            ref["weights"] = [[z.real, z.imag] for z in wps.weights]
+        want = json.dumps(ref, sort_keys=True, indent=1, allow_nan=False)
+        assert json.dumps(wps.to_json(), sort_keys=True, indent=1, allow_nan=False) == want
+        assert _json_text(wps._record()) == want
+        buf = io.StringIO()
+        wps.dump(buf)
+        assert buf.getvalue() == want
+
+    def test_empty_containers(self):
+        obj = {"a": {}, "b": [], "c": np.zeros((0, 2)), "d": {"e": {}}}
+        assert _json_text(obj) == _dumps(obj)
+        assert _json_text({}) == "{}" and _json_text([]) == "[]"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            _json_text({"points": np.array([[0.0], [bad]])})
+        with pytest.raises(ValueError):
+            _json_text({"meta": {"x": [bad]}})
