@@ -248,7 +248,7 @@ def _dumps(v):
 
 class TestJsonText:
     @given(st.recursive(_float_arrays() | _JSON, lambda c: st.dictionaries(_TEXT, c, max_size=4), max_leaves=8))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_matches_json_dumps(self, obj):
         assert _json_text(obj) == _dumps(obj)
 
