@@ -39,19 +39,21 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def _export(rev: str | None, dest: Path) -> None:
-    """The committed files of rev, or the working tree's tracked and unignored files when rev is None."""
-    if rev is None:
-        for name in _git("ls-files", "--cached", "--others", "--exclude-standard").splitlines():
-            if (ROOT / name).is_file():
-                (dest / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(ROOT / name, dest / name)
-        return
+def _export(rev: str, dest: Path) -> None:
+    """The committed files of rev under dest."""
     tar = dest.with_suffix(".tar")
     _git("archive", "--output", str(tar), rev)
     dest.mkdir()
     subprocess.run(["tar", "-xf", str(tar), "-C", str(dest)], check=True)
     tar.unlink()
+
+
+def _copy_working_tree(dest: Path) -> None:
+    """The working tree's tracked and unignored files under dest."""
+    for name in _git("ls-files", "--cached", "--others", "--exclude-standard").splitlines():
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 @contextmanager
@@ -128,7 +130,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         sides = {"base": Path(tmp) / "base", "new": Path(tmp) / "new"}
         _export(args.base, sides["base"])
-        _export(None, sides["new"])
+        _copy_working_tree(sides["new"])
         here = Path(tmp) / "checkout"
         record["tier1"] = {}
         for side, path in sides.items():
