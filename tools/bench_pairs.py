@@ -1,6 +1,6 @@
 """Paired benchmark of the working tree against a base commit; writes a BENCH file.
 
-    python3 tools/bench_pairs.py --base a923d41 --out BENCH_11.json \
+    python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_<n>.json \
         model-set:10 displaced:5 sturmian:5
 
 Each `WORKLOAD:PAIRS` runs `python3 perfbench/run.py --workload W --seed S`
