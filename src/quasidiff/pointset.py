@@ -105,11 +105,13 @@ class WeightedPointSet:
     def from_json(cls, obj: dict) -> "WeightedPointSet":
         try:
             dim = int(obj["dim"])
-            pts = np.asarray(obj["points"], dtype=float)
-            raw = None if obj.get("weights") is None else np.asarray(obj["weights"], dtype=float)
-            meta = dict(obj.get("meta") or {})
+            pts = _numbers(obj["points"])
+            raw = None if obj.get("weights") is None else _numbers(obj["weights"])
+            meta = {} if obj.get("meta") is None else obj["meta"]
+            if not isinstance(meta, dict):
+                raise TypeError(f"'meta' is a {type(meta).__name__}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"point set needs 'dim', 'points', numeric 'weights', a 'meta' object: {exc}")
+            raise ValidationError(f"point set needs 'dim', numeric 'points' and 'weights', a 'meta' object: {exc}")
         if pts.size == 0:
             pts = pts.reshape(0, dim)
         w = None
@@ -118,7 +120,7 @@ class WeightedPointSet:
                 raise ValidationError("'weights' must be [[re, im], ...] matching points")
             w = np.empty(len(pts), dtype=complex)
             w.real, w.imag = raw.reshape(-1, 2).T
-        return cls(dim, pts, w, meta)
+        return cls(dim, pts, w, dict(meta))
 
     def dump(self, fp) -> None:
         fp.write(_json_text(self._record()))
@@ -148,6 +150,14 @@ def _json_text(v, nl: str = "\n") -> str:
         items = ",".join(f"{deeper}{json.dumps(k)}: {_json_text(v[k], deeper)}" for k in sorted(v))
         return f"{{{items}{nl}}}"
     return json.dumps(v, sort_keys=True, indent=1, allow_nan=False).replace("\n", nl)
+
+
+def _numbers(v) -> np.ndarray:
+    """v as a float array; TypeError unless its entries are JSON numbers (strings are not)."""
+    arr = np.asarray(v)
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"entries must be numbers, not {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def _meta_record(meta: dict) -> dict:

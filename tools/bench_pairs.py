@@ -4,15 +4,14 @@
         model-set:10 displaced:5 sturmian:5
 
 Each `WORKLOAD:PAIRS` runs `python3 perfbench/run.py --workload W --seed S`
-once on the base commit and once on this working tree, for seeds --seed0,
---seed0 + 1, ...; the side that runs first alternates from pair to pair. Both
-sides are copied into a temporary directory (the base by `git archive`, the
-working tree as its tracked and unignored files) and each run is made from
-the same path, since the path of a checkout alone can move peak RSS by most
-of a MiB. The file records the machine, both commit ids, every run's
-end-to-end metrics, per-side medians with quartiles, how many pairs the
-working tree won per metric (by the `better` direction in BENCHMARK.json),
-and the tier-1 wall time of each side. Run it on a quiet machine: the pairs
+once on the base commit and once on this working tree, for seeds 1, 2, ...;
+the side that runs first alternates from pair to pair. Both sides are copied
+into a temporary directory (the base by `git archive`, the working tree as its
+tracked and unignored files) and each run is made from the same path, since
+the path of a checkout alone can move peak RSS by most of a MiB. The file
+records the machine, both commit ids, every run's end-to-end metrics, per-side
+medians with quartiles, how many pairs the working tree won per metric (by the
+`better` direction in BENCHMARK.json), and the tier-1 wall time of each side. Run it on a quiet machine: the pairs
 are timed one after the other, and other load shows up in them.
 """
 
@@ -109,9 +108,7 @@ def main(argv=None) -> int:
     parser.add_argument("specs", nargs="+", metavar="WORKLOAD:PAIRS")
     parser.add_argument("--base", required=True, help="commit the working tree is compared with")
     parser.add_argument("--out", required=True, help="BENCH JSON file to write")
-    parser.add_argument("--seed0", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=None, help="default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--workdir", default=None, help="where the two copies go (default: a temp dir)")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -123,11 +120,12 @@ def main(argv=None) -> int:
                     "numpy": numpy.__version__, "scipy": scipy.__version__},
         "base": _git("rev-parse", args.base),
         "head": _git("rev-parse", "HEAD"),
-        "head_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        # untracked, unignored files count: _copy_working_tree copies them
+        "head_dirty": bool(_git("status", "--porcelain")),
         "seconds": args.seconds or bench["run_seconds"],
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         sides = {"base": Path(tmp) / "base", "new": Path(tmp) / "new"}
         _export(args.base, sides["base"])
         _copy_working_tree(sides["new"])
@@ -140,7 +138,7 @@ def main(argv=None) -> int:
             workload, pairs = spec.split(":")
             runs = []
             for i in range(int(pairs)):
-                seed = args.seed0 + i
+                seed = i + 1
                 order = ("base", "new") if i % 2 == 0 else ("new", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
