@@ -32,7 +32,7 @@ from .pointset import WeightedPointSet, _min_separation_raw
 _PAIR_BUDGET = 5 * 10**8
 # hard ceiling on distinct difference bins (memory guard)
 _BIN_BUDGET = 10**7
-# pairs in one 1D batch of index offsets, unless one offset has more
+# pairs in one batch of index offsets, unless one offset has more
 _PAIR_BLOCK = 2**19
 # most worker threads scan_spectrum will start: 64, or the core count if higher
 _THREAD_CAP = max(64, os.cpu_count() or 1)
@@ -372,9 +372,10 @@ def _merge_runs(runs: list) -> tuple:
     """Merge runs into one run of distinct bins, in order of first appearance.
 
     Each bin's partial sums are added left to right in run order and its first
-    representative is kept, so merging merged runs again changes no bit.
+    representative is kept, so merging merged runs again changes no bit. A
+    single run is read in place, and returned as it is if its keys are distinct.
     """
-    keys, sums, reps, mins, maxs = map(np.concatenate, zip(*runs))
+    keys, sums, reps, mins, maxs = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
     order, starts = _lexorder(keys.T)
     if len(starts) == len(keys):  # distinct already, in order of appearance
         return keys, sums, reps, mins, maxs
@@ -404,41 +405,20 @@ def _quantize(raw: np.ndarray, eps: float) -> np.ndarray:
 def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
     """Yield (x_i - x_j, w_i conj(w_j), lead) batches of the pairs i > j.
 
-    1D: blocks of consecutive index offsets k = i - j, offset-major, of at
-    most _PAIR_BLOCK pairs or one offset, filled by slices into buffers
-    reused from block to block; lead holds k - k0 for the block's first
-    offset k0. A radius drops the pairs beyond it, and the blocks, doubling
-    from one offset, stop after the first offset that keeps none (the points
-    are sorted, so no later offset keeps one). 2D, lead None: kd-tree pairs
-    ordered by (j, i), or dense blocks of rows i ordered by j, then i.
+    Without a radius, or in 1D: blocks of consecutive index offsets
+    k = i - j, offset-major, of at most _PAIR_BLOCK pairs or one offset,
+    filled by slices into (cap, dim) buffers reused from block to block;
+    lead holds k - k0 for the block's first offset k0. Each offset is
+    reduced whole, so the bins do not depend on the block size. A 1D radius
+    drops the pairs beyond it, and the blocks, doubling from one offset, stop
+    after the first offset that keeps none (the points are sorted, so no
+    later offset keeps one). A radius in 2D or more, lead None: kd-tree pairs
+    ordered by (j, i).
     """
     n, dim = pts.shape
     if n < 2:
         return
-    if dim == 1:
-        x, wc = pts[:, 0], np.conj(w)
-        cap = min(max(_PAIR_BLOCK, n - 1), n * (n - 1) // 2)
-        d, prod, lead = np.empty(cap), np.empty(cap, wc.dtype), np.empty(cap, np.min_scalar_type(n))
-        size = cap if max_radius is None else n - 1  # a radius may keep few offsets: grow to cap
-        off = 1
-        while off < n:
-            k0, m = off, 0
-            while off < n and m + n - off <= size:
-                s = slice(m, m + n - off)
-                np.subtract(x[off:], x[:-off], out=d[s])
-                np.multiply(w[off:], wc[:-off], out=prod[s])
-                lead[s] = off - k0
-                m, off = s.stop, off + 1
-            size = min(2 * size, cap)
-            block = d[:m], prod[:m], lead[:m]
-            if max_radius is not None:
-                keep = block[0] <= max_radius
-                if not keep[m - (n - off + 1) :].any():  # the block's last offset
-                    off = n
-                block = tuple(a[keep] for a in block)
-            if len(block[0]):
-                yield block[0][:, None], block[1], block[2]
-    elif max_radius is not None:
+    if dim > 1 and max_radius is not None:
         from scipy.spatial import cKDTree
 
         pairs = cKDTree(pts).query_pairs(max_radius, output_type="ndarray")
@@ -446,16 +426,29 @@ def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
         for start in range(0, len(pairs), 2**20):
             ij = pairs[start : start + 2**20]
             yield pts[ij[:, 1]] - pts[ij[:, 0]], w[ij[:, 1]] * np.conj(w[ij[:, 0]]), None
-    else:
-        block = max(1, 2**21 // n)
-        for i0 in range(0, n, block):
-            i1 = min(i0 + block, n)
-            # the pairs i > j with i in [i0, i1), ordered by j, then i
-            jj, ii = np.nonzero(np.arange(i0, i1) > np.arange(i1 - 1)[:, None])
-            ii += i0
-            batch = pts[ii] - pts[jj], w[ii] * np.conj(w[jj]), None
-            del jj, ii  # not held while the batch is aggregated
-            yield batch
+        return
+    wc = np.conj(w)
+    cap = min(max(_PAIR_BLOCK, n - 1), n * (n - 1) // 2)
+    d, prod, lead = np.empty((cap, dim)), np.empty(cap, wc.dtype), np.empty(cap, np.min_scalar_type(n))
+    size = cap if max_radius is None else n - 1  # a radius may keep few offsets: grow to cap
+    off = 1
+    while off < n:
+        k0, m = off, 0
+        while off < n and m + n - off <= size:
+            s = slice(m, m + n - off)
+            np.subtract(pts[off:], pts[:-off], out=d[s])
+            np.multiply(w[off:], wc[:-off], out=prod[s])
+            lead[s] = off - k0
+            m, off = s.stop, off + 1
+        size = min(2 * size, cap)
+        block = d[:m], prod[:m], lead[:m]
+        if max_radius is not None:  # 1D only: in more dimensions the kd-tree takes a radius
+            keep = block[0][:, 0] <= max_radius
+            if not keep[m - (n - off + 1) :].any():  # the block's last offset
+                off = n
+            block = tuple(a[keep] for a in block)
+        if len(block[0]):
+            yield block
 
 
 def autocorrelation(
@@ -475,11 +468,11 @@ def autocorrelation(
     bin_epsilon defaults to 1e-6 times the minimum separation and must stay
     below half the minimum separation so distinct points cannot share a bin.
     Each batch of the pairs i > j (_pair_batches) is sorted by bin key
-    (_lexorder) and reduced to a run of bins held in arrays; a 1D batch is a
-    block of index offsets, sorted by (offset, key), so its run is the runs
-    of its offsets end to end. One more sort merges the runs into the bins,
-    adding each bin's partial sums in offset or batch order; only a single
-    2D batch is merged already. The patch stores only these bins and the
+    (_lexorder) and reduced to a run of bins held in arrays; a block of
+    index offsets is sorted by (offset, key), so its run is the runs of its
+    offsets end to end. One more sort merges the runs into the bins, adding
+    each bin's partial sums in offset or batch order; only a single kd-tree
+    batch is merged already. The patch stores only these bins and the
     diagonal; their mirrors at -q, the exact conjugates, are laid out when
     its public arrays are first read.
     """
@@ -512,7 +505,7 @@ def autocorrelation(
     merged = False  # runs is one run of distinct bins
     for d, prod, lead in _pair_batches(pts, w, max_radius):
         held += _aggregate_bins(runs, _quantize(d, bin_epsilon), d, prod, lead)
-        merged = len(runs) == 1 and lead is None  # a 2D batch repeats no key
+        merged = len(runs) == 1 and lead is None  # a kd-tree batch repeats no key
         if held > _BIN_BUDGET:  # runs may repeat a bin: count the distinct ones
             runs, merged = [_merge_runs(runs)], True
             held = len(runs[0][0])
@@ -521,10 +514,9 @@ def autocorrelation(
                     f"autocorrelation produced more than {_BIN_BUDGET} distinct difference "
                     "bins; truncate with max_radius or coarsen bin_epsilon"
                 )
-    if not merged:
-        # an empty run, so that a patch without pairs merges to no bins
-        runs.append((np.zeros((0, dim), np.int64), np.zeros(0, complex), *np.zeros((3, 0, dim))))
-        runs = [_merge_runs(runs)]
+    if not merged:  # without pairs, an empty run merges to no bins
+        runs = [_merge_runs(runs or [(np.zeros((0, dim), np.int64), np.zeros(0, complex),
+                                      *np.zeros((3, 0, dim)))])]
     qkeys, sums, reps, rmin, rmax = runs[0]
     # Python's complex / float (before 3.14), signed zeros included
     re, im = sums.real, sums.imag

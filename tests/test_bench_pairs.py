@@ -1,0 +1,47 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = {"t": {"better": "lower", "bound": 0.1}, "q": {"better": "higher", "bound": 0.1}}
+
+
+def _runs(base, new, bad=()):
+    """Synthetic pairs: metric t takes the values, q their negatives; pairs in bad fail on the new side."""
+    def side(v, ok):
+        return {"correct": ok, "failed": 0, "metrics": {"t": v, "q": -v}}
+
+    return [{"base": side(b, True), "new": side(n, i not in bad)} for i, (b, n) in enumerate(zip(base, new))]
+
+
+@pytest.mark.parametrize("base, new, bad, verdict", [
+    ([10.0] * 5 + [10.1] * 5, [9.0] * 10, (), "gain"),
+    ([10.0] * 5 + [10.1] * 5, [9.0] * 10, (3,), "within_bound"),  # more failures: no gain
+    ([10.0] * 5 + [10.1] * 5, [9.0] * 8 + [11.0] * 2, (), "within_bound"),  # 8 wins of 10
+    ([10.0] * 10, [10.9] * 10, (), "within_bound"),  # worse, but by less than the bound
+    ([10.0] * 10, [11.5] * 10, (), "regression"),
+    ([8.0, 9.0, 11.0, 12.0], [10.5] * 4, (), "unresolved"),  # base spread 2.25 > bound 1.0
+    ([8.0, 9.0, 11.0, 12.0], [7.0] * 4, (), "gain"),
+    ([8.0, 9.0, 11.0, 12.0], [7.0, 7.0, 7.0, 13.0], (), "unresolved"),  # 3 of 4 wins
+    ([8.0, 9.0, 11.0, 12.0], [7.9] * 4, (), "within_bound"),  # every run better than every base run
+])
+def test_summary_verdicts(base, new, bad, verdict):
+    summary = bench_pairs._summary(_runs(base, new, bad), METRICS)
+    assert summary["failed_runs"] == {"base": 0, "new": len(bad)}
+    for metric in METRICS:  # a higher-is-better metric of the negated values reads the same
+        assert summary["metrics"][metric]["verdict"] == verdict
+    t = summary["metrics"]["t"]
+    assert t["pairs"] == len(base) and t["base"]["q1"] <= t["base"]["median"] <= t["base"]["q3"]
+
+
+def test_summary_counts_failed_operations():
+    runs = _runs([1.0, 1.0], [1.0, 1.0])
+    runs[0]["base"]["failed"] = 2
+    runs[1]["base"]["correct"] = False
+    runs[1]["new"]["failed"] = 1
+    assert bench_pairs._summary(runs, METRICS)["failed_runs"] == {"base": 2, "new": 1}

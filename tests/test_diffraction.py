@@ -290,68 +290,84 @@ class TestAutocorrelation:
         assert patch.bins[(q1, q1)] == pytest.approx(16.0 / 25.0)
 
     def test_coinciding_bins_keep_first_seen_order(self):
-        # (35, 5) nudged below x = 35 sorts before (35, 0), so that pair gives
-        # the negative key (0, -5/eps), in the second block of pairs; its mirror
-        # coincides with the bin (0, 5/eps) of the first block, which stays first
+        # (35, 5) nudged below x = 35 sorts before (35, 0), so that pair, at index
+        # offset 1, gives the key (0, -5/eps) before offset 5 gives the bin
+        # (0, 5/eps); the mirror of the first coincides with the second and,
+        # seen first, stays first
         pts = np.stack(np.meshgrid(np.arange(40.0), np.arange(40.0), indexing="ij"), -1).reshape(-1, 2)
         pts[35 * 40 + 5, 0] -= 1e-13
         patch = autocorrelation(WeightedPointSet(2, pts), Box([-1.0, -1.0], [41.0, 41.0]))
         q = round(5.0 / patch.bin_epsilon)
+        half = patch._half[0].tolist()
+        assert half.index([0, -q]) < half.index([0, q])
         rows = np.flatnonzero((patch.keys == [0, q]).all(axis=1))
         assert len(rows) == 2
-        assert patch.reps[rows[0]].tolist() == [0.0, 5.0]
-        assert patch.reps[rows[1]][0] < 0.0
+        assert patch.reps[rows[0]][0] < 0.0
+        assert patch.reps[rows[1]].tolist() == [0.0, 5.0]
 
-    def test_dense_pair_batches_match_meshgrid_reference(self):
-        from quasidiff.diffraction import _pair_batches
+    @pytest.mark.parametrize("patch", ["lattice", "weighted lattice", "percolated", "cubic"])
+    def test_offset_blocks_match_the_dense_reference(self, monkeypatch, patch):
+        from quasidiff import diffraction
 
-        def meshgrid_batches(pts, w):
-            # reference: mask the pairs i > j out of full n x block grids
-            n, dim = pts.shape
-            block = max(1, 2**21 // n)
-            for i0 in range(0, n, block):
-                i1 = min(i0 + block, n)
-                d = pts[None, i0:i1, :] - pts[:, None, :]  # d[j, i] = x_i - x_j
-                jj, ii = np.meshgrid(np.arange(n), np.arange(i0, i1), indexing="ij")
-                upper = ii > jj
-                yield d.reshape(n * (i1 - i0), dim)[upper.ravel()], (w[ii] * np.conj(w[jj]))[upper]
+        def dense(pts, w, max_radius):
+            # reference: every pair i > j in one batch, ordered by j, then i
+            jj, ii = np.triu_indices(len(pts), 1)
+            yield pts[ii] - pts[jj], w[ii] * np.conj(w[jj]), None
 
         rng = np.random.default_rng(7)
-        pts = np.stack(np.meshgrid(np.arange(40.0), np.arange(40.0), indexing="ij"), -1).reshape(-1, 2)
-        pts += rng.uniform(-0.3, 0.3, pts.shape)
-        w = rng.normal(size=1600) + 1j * rng.normal(size=1600)
-        batches = 0
-        for got, ref in itertools.zip_longest(_pair_batches(pts, w, None), meshgrid_batches(pts, w)):
-            assert got is not None and ref is not None
-            for a, b in zip(got, ref):  # differences, then weight products
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            batches += 1
-        assert batches == 2  # 1600 points make blocks of 2**21 // 1600 = 1310
+        dim = 3 if patch == "cubic" else 2
+        pts = np.stack(np.meshgrid(*[np.arange(30.0 if dim == 2 else 8.0)] * dim, indexing="ij"), -1)
+        pts = pts.reshape(-1, dim)
+        w = np.ones(len(pts))
+        if patch == "percolated":  # a bin gathers pairs from several offsets
+            keep = rng.random(len(pts)) < 0.5
+            pts, w = pts[keep], w[keep]
+        elif patch == "weighted lattice":  # each bin holds one offset's pairs, in order of j
+            w = rng.normal(size=len(pts)) + 1j * rng.normal(size=len(pts))
+        wps, box = WeightedPointSet(dim, pts, w), Box([-1.0] * dim, [31.0] * dim)
+        got = autocorrelation(wps, box)
+        monkeypatch.setattr(diffraction, "_pair_batches", dense)
+        want = autocorrelation(wps, box)
+        def by_key(p):  # keys, coeffs, reps and spreads of the half, sorted by key
+            order = np.lexsort(p._half[0].T[::-1])
+            return [a[order].tobytes() for a in p._half]
+
+        assert by_key(got) == by_key(want)
+        assert got._diagonal == want._diagonal
 
     @pytest.mark.parametrize("block", [None, 1000, 1])  # None: the default
-    @pytest.mark.parametrize("radius", [None, 20.0])
-    @pytest.mark.parametrize("patch", ["chain", "jittered"])
+    @pytest.mark.parametrize("patch, radius", [
+        ("chain", None), ("chain", 20.0), ("jittered", None), ("jittered", 20.0),
+        ("jittered 2D", None), ("diluted 2D", None),  # a radius in 2D takes the kd-tree
+    ])
     def test_offset_blocks_match_the_per_offset_loop(self, monkeypatch, block, radius, patch):
         from quasidiff import diffraction
 
         def per_offset(pts, w, max_radius):
             # reference: one batch per index offset, stopping at the first that keeps no pair
-            x = pts[:, 0]
-            for off in range(1, len(x)):
-                d = x[off:] - x[:-off]
-                keep = d <= (np.inf if max_radius is None else max_radius)
+            for off in range(1, len(pts)):
+                d = pts[off:] - pts[:-off]
+                keep = d[:, 0] <= (np.inf if max_radius is None else max_radius)
                 if not keep.any():
                     break
-                yield d[keep][:, None], w[off:][keep] * np.conj(w[:-off][keep]), None
+                yield d[keep], w[off:][keep] * np.conj(w[:-off][keep]), None
 
         rng = np.random.default_rng(2)
         if patch == "chain":  # a diluted integer chain: bins fed by many offsets
             x = np.flatnonzero(np.random.default_rng(0).random(300) < 0.5).astype(float)
             wps = WeightedPointSet(1, x, np.exp(1j * x))
-        else:  # every difference its own bin
+        elif patch == "jittered":  # every difference its own bin
             x = np.arange(200.0) + rng.uniform(-0.3, 0.3, 200)
             wps = WeightedPointSet(1, x, rng.normal(size=200) + 1j * rng.normal(size=200))
-        box = Box([-1.0], [301.0])
+        elif patch == "jittered 2D":
+            pts = np.stack(np.meshgrid(np.arange(15.0), np.arange(15.0), indexing="ij"), -1).reshape(-1, 2)
+            pts += rng.uniform(-0.3, 0.3, pts.shape)
+            wps = WeightedPointSet(2, pts, rng.normal(size=225) + 1j * rng.normal(size=225))
+        else:  # a diluted lattice: bins fed by many offsets
+            pts = np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0), indexing="ij"), -1).reshape(-1, 2)
+            pts = pts[rng.random(400) < 0.5]
+            wps = WeightedPointSet(2, pts, np.exp(1j * (pts[:, 0] + 0.3 * pts[:, 1])))
+        box = Box([-1.0] * wps.dim, [301.0] * wps.dim)
         if block is not None:
             monkeypatch.setattr(diffraction, "_PAIR_BLOCK", block)
         got = autocorrelation(wps, box, max_radius=radius)

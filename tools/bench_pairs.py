@@ -11,8 +11,20 @@ tracked and unignored files) and each run is made from the same path, since
 the path of a checkout alone can move peak RSS by most of a MiB. The file
 records the machine, both commit ids, every run's end-to-end metrics, per-side
 medians with quartiles, how many pairs the working tree won per metric (by the
-`better` direction in BENCHMARK.json), and the tier-1 wall time of each side. Run it on a quiet machine: the pairs
-are timed one after the other, and other load shows up in them.
+`better` direction in BENCHMARK.json), each metric's verdict, the runs on each
+side that failed a check or an operation, and the tier-1 wall time of each
+side. Run it on a quiet machine: the pairs are timed one after the other, and
+other load shows up in them.
+
+A metric's verdict, with base spread the base runs' q3 - q1:
+
+* gain: the working tree won at least 9 in 10 pairs, its median is better by
+  more than the base spread, and it has no more failed runs than the base;
+* unresolved: otherwise, when the base spread is wider than the metric's
+  bound (a share of the base median), unless every working-tree run is
+  better than every base run;
+* within_bound: otherwise, when the median got no worse than the bound allows;
+* regression: otherwise.
 """
 
 from __future__ import annotations
@@ -91,16 +103,32 @@ def _quartiles(xs: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def _summary(runs: list, better: dict) -> dict:
+def _summary(runs: list, metrics: dict) -> dict:
+    """Failed runs per side, and per metric the quartiles, wins and verdict of the pairs.
+
+    metrics maps each metric's name to its BENCHMARK.json entry (better, bound).
+    """
+    bad = {side: sum(not r[side]["correct"] or r[side]["failed"] > 0 for r in runs) for side in ("base", "new")}
     out = {}
-    for metric, direction in better.items():
+    for metric, spec in metrics.items():
         base = [r["base"]["metrics"][metric] for r in runs]
         new = [r["new"]["metrics"][metric] for r in runs]
-        wins = sum((n < b) if direction == "lower" else (n > b) for b, n in zip(base, new))
+        sign = 1 if spec["better"] == "lower" else -1
+        wins = sum(sign * (b - n) > 0 for b, n in zip(base, new))
         b, n = _quartiles(base), _quartiles(new)
+        spread, gap = b["q3"] - b["q1"], sign * (b["median"] - n["median"])  # gap > 0: the working tree is better
+        allowed = spec["bound"] * abs(b["median"])
+        if wins >= 0.9 * len(runs) and gap > spread and bad["new"] <= bad["base"]:
+            verdict = "gain"
+        elif spread > allowed and not all(sign * (x - y) > 0 for x in base for y in new):
+            verdict = "unresolved"
+        elif -gap <= allowed:
+            verdict = "within_bound"
+        else:
+            verdict = "regression"
         out[metric] = {"base": b, "new": n, "change": n["median"] / b["median"] - 1,
-                       "wins": wins, "pairs": len(runs)}
-    return out
+                       "wins": wins, "pairs": len(runs), "verdict": verdict}
+    return {"failed_runs": bad, "metrics": out}
 
 
 def main(argv=None) -> int:
@@ -111,7 +139,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None, help="default: run_seconds of BENCHMARK.json")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     import numpy
     import scipy
 
@@ -146,9 +174,12 @@ def main(argv=None) -> int:
                         pair[side] = _run(here, workload, seed, args.seconds)
                 runs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
-                    f"{m} {pair['base']['metrics'][m]:.4g} -> {pair['new']['metrics'][m]:.4g}" for m in better),
+                    f"{m} {pair['base']['metrics'][m]:.4g} -> {pair['new']['metrics'][m]:.4g}" for m in metrics),
                     file=sys.stderr)
-            record["workloads"][workload] = {"runs": runs, "summary": _summary(runs, better)}
+            summary = _summary(runs, metrics)
+            record["workloads"][workload] = {"runs": runs, "summary": summary}
+            print(f"{workload}: failed runs {summary['failed_runs']}; " + ", ".join(
+                f"{m} {s['verdict']}" for m, s in summary["metrics"].items()), file=sys.stderr)
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
