@@ -1,5 +1,4 @@
 import io
-import itertools
 import math
 
 import numpy as np
@@ -328,6 +327,7 @@ class TestAutocorrelation:
         got = autocorrelation(wps, box)
         monkeypatch.setattr(diffraction, "_pair_batches", dense)
         want = autocorrelation(wps, box)
+
         def by_key(p):  # keys, coeffs, reps and spreads of the half, sorted by key
             order = np.lexsort(p._half[0].T[::-1])
             return [a[order].tobytes() for a in p._half]
