@@ -75,15 +75,6 @@ def _exact_sum(x: np.ndarray) -> float:
     return math.fsum(np.ldexp(high, scale).tolist() + np.ldexp(low, scale).tolist())
 
 
-def _fsum_complex(z: np.ndarray) -> complex:
-    """Correctly rounded sum of a 1D complex array, part by part (_exact_sum).
-
-    Each part is the exact sum rounded once, so the value does not depend on
-    the order of the terms and has the bits of math.fsum on that part.
-    """
-    return complex(_exact_sum(z.real), _exact_sum(z.imag))
-
-
 @dataclass(frozen=True)
 class FourierAverage:
     """c^xi_B = (1/vol B) sum over patch points in B of w_x exp(-2 pi i xi.x)."""
@@ -98,7 +89,7 @@ def fourier_average(wps: WeightedPointSet, box: Box, xi) -> FourierAverage:
     """Volume-normalized Fourier sum of the patch restricted to the box.
 
     The real and imaginary parts of the phase terms are each summed exactly
-    and rounded once (_fsum_complex), so the value does not depend on the
+    and rounded once (_exact_sum), so the value does not depend on the
     order of the points or on the thread that computes it, is reproducible
     bit for bit, and satisfies |value| <= (sum |w| in box)/vol.
     """
@@ -110,9 +101,20 @@ def fourier_average(wps: WeightedPointSet, box: Box, xi) -> FourierAverage:
     return FourierAverage(xi, value, box.volume, int(mask.sum()))
 
 
+def _phase_terms(x: np.ndarray, c: np.ndarray, xi: np.ndarray, imag: bool) -> tuple:
+    """(Re, Im or None) of the terms c exp(-2 pi i xi.x) over the rows x, from the real phase:
+    numpy's float64 cos and sin are the parts of its complex exp, so only the signs of zeros
+    differ from c times that exp, and no exact sum sees them. Real c takes sin only for Im."""
+    ph = -2 * np.pi * (x @ xi)
+    if not c.imag.any():
+        return c.real * np.cos(ph), c.real * np.sin(ph) if imag else None
+    z = c * (np.cos(ph) + 1j * np.sin(ph))
+    return z.real, z.imag if imag else None
+
+
 def _phase_sum(pts: np.ndarray, w: np.ndarray, xi: np.ndarray) -> complex:
-    """Exact sum of w_x exp(-2 pi i xi.x) over the rows x of pts, rounded once."""
-    return _fsum_complex(w * np.exp(-2j * np.pi * (pts @ xi)))
+    """Exact sum of w_x exp(-2 pi i xi.x) over the rows x of pts, each part rounded once."""
+    return complex(*map(_exact_sum, _phase_terms(pts, w, xi, imag=True)))
 
 
 def _evaluator(wps: WeightedPointSet, boxes: list, estimator: str):
@@ -562,10 +564,9 @@ def intensity_from_autocorr(patch: AutocorrelationPatch, xi, averaging_box: Box 
     """
     xi = _vector(xi, dim=patch.dim, name="xi")
     _, coeffs, reps, _ = patch._half
-    diag = patch._diagonal
     if averaging_box is None:
-        z = coeffs * np.exp(-2j * np.pi * (reps @ xi))
-        return _exact_sum(np.r_[diag, 2.0 * z.real]) / patch.normalizing_volume
+        re, _ = _phase_terms(reps, coeffs, xi, imag=False)
+        return _exact_sum(np.r_[patch._diagonal, 2.0 * re]) / patch.normalizing_volume
     if averaging_box.dim != patch.dim:
         raise ValidationError(
             f"averaging box dimension {averaging_box.dim} != patch dimension {patch.dim}"
@@ -580,13 +581,12 @@ def intensity_from_autocorr(patch: AutocorrelationPatch, xi, averaging_box: Box 
     pos = averaging_box.contains(reps).astype(np.int8)
     neg = averaging_box.contains(-reps).astype(np.int8)
     sel = np.flatnonzero(pos | neg)
-    z = coeffs[sel] * np.exp(-2j * np.pi * (reps[sel] @ xi))
-    terms = z.real * (pos[sel] + neg[sel])
+    re, im = _phase_terms(reps[sel], coeffs[sel], xi, imag=True)
+    terms = re * (pos[sel] + neg[sel])
     if averaging_box.contains(np.zeros((1, patch.dim)))[0]:
-        terms = np.r_[diag, terms]
-    denom = averaging_box.volume
-    value = _exact_sum(terms) / denom
-    imag = _exact_sum(z.imag * (pos[sel] - neg[sel])) / denom
+        terms = np.r_[patch._diagonal, terms]
+    value = _exact_sum(terms) / averaging_box.volume
+    imag = _exact_sum(im * (pos[sel] - neg[sel])) / averaging_box.volume
     if abs(imag) > 1e-9 + 1e-6 * abs(value):
         warnings.warn(
             f"autocorrelation intensity at xi={xi.tolist()} has imaginary part "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -153,10 +154,17 @@ def _json_text(v, nl: str = "\n") -> str:
 
 
 def _numbers(v) -> np.ndarray:
-    """v as a float array; TypeError unless its entries are JSON numbers (strings are not)."""
+    """v as a float array; TypeError unless its entries are JSON numbers (not strings or booleans)."""
     arr = np.asarray(v)
-    if arr.dtype.kind not in "biuf":
+    if arr.dtype.kind not in "iuf":
         raise TypeError(f"entries must be numbers, not {arr.dtype}")
+    if arr.ndim:  # np.asarray reads a boolean among numbers as 0 or 1: look at the rows holding one
+        hit = ((arr == 0) | (arr == 1)).any(axis=tuple(range(1, arr.ndim)))
+        items = map(v.__getitem__, np.flatnonzero(hit).tolist())
+        for _ in range(arr.ndim - 1):
+            items = chain.from_iterable(items)
+        if bool in set(map(type, items)):
+            raise TypeError("entries must be numbers, not booleans")
     return arr.astype(float, copy=False)
 
 

@@ -14,7 +14,7 @@ METRICS = {"t": {"better": "lower", "bound": 0.1}, "q": {"better": "higher", "bo
 def _runs(base, new, bad=()):
     """Synthetic pairs: metric t takes the values, q their negatives; pairs in bad fail on the new side."""
     def side(v, ok):
-        return {"correct": ok, "failed": 0, "metrics": {"t": v, "q": -v}}
+        return {"correct": ok, "failed": 0, "metrics": {"t": v, "q": -v}, "import_rss_mib": 40.0 + v}
 
     return [{"base": side(b, True), "new": side(n, i not in bad)} for i, (b, n) in enumerate(zip(base, new))]
 
@@ -37,6 +37,9 @@ def test_summary_verdicts(base, new, bad, verdict):
         assert summary["metrics"][metric]["verdict"] == verdict
     t = summary["metrics"]["t"]
     assert t["pairs"] == len(base) and t["base"]["q1"] <= t["base"]["median"] <= t["base"]["q3"]
+    rss = summary["import_rss_mib"]  # not gated: quartiles only
+    assert rss["base"]["median"] == 40.0 + t["base"]["median"]
+    assert rss["new"]["median"] == 40.0 + t["new"]["median"]
 
 
 def test_summary_counts_failed_operations():
@@ -45,3 +48,27 @@ def test_summary_counts_failed_operations():
     runs[1]["base"]["correct"] = False
     runs[1]["new"]["failed"] = 1
     assert bench_pairs._summary(runs, METRICS)["failed_runs"] == {"base": 2, "new": 1}
+
+
+def _checkout(root: Path, cli: str) -> Path:
+    pkg = root / "src" / "quasidiff"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(cli)
+    return root
+
+
+def test_import_rss_reads_the_checkouts_cli(tmp_path):
+    # a cli that holds 64 MiB at import raises the reading by that much over one that holds
+    # nothing; so the reading is taken after importing quasidiff.cli, and from the checkout
+    # given (the quasidiff this suite runs under holds no such block)
+    small = bench_pairs._import_rss_mib(_checkout(tmp_path / "small", ""))
+    big = bench_pairs._import_rss_mib(_checkout(tmp_path / "big", "BLOCK = b'x' * (64 << 20)\n"))
+    assert 0 < small and 56 < big - small < 72
+
+
+def test_import_rss_leaves_out_the_launchers_memory(tmp_path):
+    # ru_maxrss of a child starts at its launcher's peak RSS; the reading must not
+    block = b"x" * (96 << 20)
+    rss = bench_pairs._import_rss_mib(_checkout(tmp_path / "small", ""))
+    assert rss < 64 and len(block)

@@ -520,13 +520,20 @@ class TestErrors:
             ({"dim": 1, "points": [[0.0], [1.0]], "weights": [[1, "x"], [1, 0]]}, "numeric 'points' and 'weights'"),
             ({"dim": 1, "points": [[0.0], [1.0]], "weights": [["2", "0"], [1, 0]]}, "must be numbers"),
             ({"dim": 1, "points": [["0.5"], ["1.5"]]}, "must be numbers"),
+            ({"dim": 1, "points": [[True], [False]]}, "must be numbers, not bool"),
+            ({"dim": 1, "points": [[0.5], [True]]}, "must be numbers, not booleans"),
+            ({"dim": 1, "points": [[0.0], [1.0]], "weights": [[True, False], [False, True]]},
+             "must be numbers, not bool"),
+            ({"dim": 1, "points": [[0.0], [1.0]], "weights": [[True, False], [1, 0]]},
+             "must be numbers, not booleans"),
             ({"dim": 1, "points": [[0.0], [1.0]], "meta": [1]}, "a 'meta' object"),
             ({"dim": 1, "points": [[0.0], [1.0]], "meta": [[1, 2]]}, "'meta' is a list"),
             ({"dim": 1, "points": [[0.0], [1.0]], "meta": ["ab"]}, "'meta' is a list"),
             (5, "point set needs 'dim'"),
         ],
         ids=["weights-flat", "weights-number", "weights-string", "weights-numeric-string",
-             "points-numeric-string", "meta-list", "meta-pairs", "meta-string-list", "not-an-object"],
+             "points-numeric-string", "points-boolean", "points-mixed-boolean", "weights-boolean",
+             "weights-mixed-boolean", "meta-list", "meta-pairs", "meta-string-list", "not-an-object"],
     )
     def test_malformed_pointset_exit_code(self, pointset, message, tmp_path, capsys):
         path = tmp_path / "bad.json"

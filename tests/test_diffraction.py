@@ -86,10 +86,9 @@ def _fsum_parts(z):
 
 
 def _kernel_parts(z):
-    from quasidiff.diffraction import _fsum_complex
+    from quasidiff.diffraction import _exact_sum
 
-    s = _fsum_complex(z)
-    return s.real, s.imag
+    return _exact_sum(z.real), _exact_sum(z.imag)
 
 
 def _complex(re, im):
@@ -122,7 +121,7 @@ def _term_arrays(draw):
 
 
 class TestExactSum:
-    """_fsum_complex returns the bits (or the exception) of math.fsum on each part."""
+    """_exact_sum on each part of a complex array gives the bits (or the exception) of math.fsum."""
 
     @given(_term_arrays())
     @settings(max_examples=300, deadline=None)
@@ -161,6 +160,41 @@ class TestExactSum:
         assert diffraction._exact_sum(x) == math.fsum(x)  # n at the cap: math.fsum
         with pytest.raises(AssertionError, match="bucketed"):
             diffraction._exact_sum(x[:3])  # below it: the buckets
+
+
+class TestPhaseKernel:
+    """The real-phase kernel keeps the bits of the complex exponential it replaces."""
+
+    def test_cos_and_sin_are_the_parts_of_complex_exp(self):
+        # the probe the kernel rests on: numpy's float64 cos and sin of a real
+        # phase equal the parts of its complex exp of that phase times i
+        rng = np.random.default_rng(5)
+        t = rng.uniform(-1.0, 1.0, 200_000) * 10.0 ** rng.integers(-12, 9, 200_000)
+        t = np.r_[0.0, -0.0, 5e-324, 0.25, -0.5, 1.0, 1e8 + 0.125, t]
+        ph = -2 * np.pi * t
+        e = np.exp(_complex(np.zeros(len(ph)), ph))
+        assert np.cos(ph).tobytes() == e.real.tobytes()
+        assert np.sin(ph).tobytes() == e.imag.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("weights", ["unit", "real", "complex"])
+    def test_fourier_scan_has_the_bits_of_the_complex_exp_sum(self, dim, weights):
+        rng = np.random.default_rng(10 * dim + len(weights))
+        n = 400
+        pts = np.r_[np.zeros((1, dim)), rng.uniform(-30.0, 30.0, (n - 1, dim))]  # the origin: a zero phase
+        w = {"unit": np.ones(n), "real": rng.normal(size=n),
+             "complex": rng.normal(size=n) + 1j * rng.normal(size=n)}[weights]
+        wps = WeightedPointSet(dim, pts, w)
+        boxes = [Box([-10.0] * dim, [10.0] * dim), Box([-31.0] * dim, [31.0] * dim)]
+        xis = np.r_[np.zeros((1, dim)), rng.uniform(-3.0, 3.0, (6, dim)), np.full((1, dim), 0.5)]
+        sp = scan_spectrum(wps, boxes, xis)
+        for e in sp.entries:
+            xi = np.array(e.xi)
+            for b, got in zip(boxes, e.intensities):
+                m = b.contains(wps.points)
+                z = wps.weights[m] * np.exp(-2j * np.pi * (wps.points[m] @ xi))
+                want = abs(complex(math.fsum(z.real), math.fsum(z.imag)) / b.volume) ** 2
+                assert got.hex() == want.hex()
 
 
 @st.composite

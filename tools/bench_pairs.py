@@ -13,7 +13,13 @@ records the machine, both commit ids, every run's end-to-end metrics, per-side
 medians with quartiles, how many pairs the working tree won per metric (by the
 `better` direction in BENCHMARK.json), each metric's verdict, the runs on each
 side that failed a check or an operation, and the tier-1 wall time of each
-side. Run it on a quiet machine: the pairs are timed one after the other, and
+side. Next to each run it records the import RSS: the peak RSS of a Python
+that has only imported quasidiff.cli from that side, made from the same path.
+It is not gated; it tells growth of peak_rss_mib that comes from module size
+or import-time allocator layout apart from memory the workload holds. It is
+read as VmHWM, the process's own ru_maxrss: Linux carries the launching
+process's peak RSS over into a child's ru_maxrss at exec, and this script,
+holding numpy and scipy, would set that floor. Run it on a quiet machine: the pairs are timed one after the other, and
 other load shows up in them.
 
 A metric's verdict, with base spread the base runs' q3 - q1:
@@ -43,6 +49,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+IMPORT_RSS = "import quasidiff.cli; print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -77,6 +84,14 @@ def _at(side: Path, path: Path):
         path.rename(side)
 
 
+def _import_rss_mib(checkout: Path) -> float:
+    """Peak RSS (VmHWM), in MiB, of a Python that has only imported quasidiff.cli from checkout/src."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_RSS], cwd=checkout, env=env,
+                          check=True, capture_output=True, text=True)
+    return int(proc.stdout) / 1024.0  # VmHWM is in kB
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     if seconds is not None:
@@ -87,7 +102,8 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float | None) -> dic
         raise SystemExit(f"{workload} seed {seed} failed in {checkout}:\n{proc.stderr[-2000:]}")
     res = json.loads(lines[-1])
     return {"seed": seed, "correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"],
-            "metrics": {k: m["value"] for k, m in res["metrics"].items()}}
+            "metrics": {k: m["value"] for k, m in res["metrics"].items()},
+            "import_rss_mib": _import_rss_mib(checkout)}
 
 
 def _tier1(checkout: Path) -> dict:
@@ -104,7 +120,8 @@ def _quartiles(xs: list) -> dict:
 
 
 def _summary(runs: list, metrics: dict) -> dict:
-    """Failed runs per side, and per metric the quartiles, wins and verdict of the pairs.
+    """Failed runs and import RSS quartiles per side, and per metric the quartiles, wins
+    and verdict of the pairs.
 
     metrics maps each metric's name to its BENCHMARK.json entry (better, bound).
     """
@@ -128,7 +145,8 @@ def _summary(runs: list, metrics: dict) -> dict:
             verdict = "regression"
         out[metric] = {"base": b, "new": n, "change": n["median"] / b["median"] - 1,
                        "wins": wins, "pairs": len(runs), "verdict": verdict}
-    return {"failed_runs": bad, "metrics": out}
+    rss = {side: _quartiles([r[side]["import_rss_mib"] for r in runs]) for side in ("base", "new")}
+    return {"failed_runs": bad, "import_rss_mib": rss, "metrics": out}
 
 
 def main(argv=None) -> int:
@@ -178,7 +196,9 @@ def main(argv=None) -> int:
                     file=sys.stderr)
             summary = _summary(runs, metrics)
             record["workloads"][workload] = {"runs": runs, "summary": summary}
-            print(f"{workload}: failed runs {summary['failed_runs']}; " + ", ".join(
+            rss = summary["import_rss_mib"]
+            print(f"{workload}: failed runs {summary['failed_runs']}; import RSS "
+                  f"{rss['base']['median']:.2f} -> {rss['new']['median']:.2f} MiB; " + ", ".join(
                 f"{m} {s['verdict']}" for m, s in summary["metrics"].items()), file=sys.stderr)
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
