@@ -167,7 +167,7 @@ class TestPhaseKernel:
 
     def test_cos_and_sin_are_the_parts_of_complex_exp(self):
         # the probe the kernel rests on: numpy's float64 cos and sin of a real
-        # phase equal the parts of its complex exp of that phase times i
+        # phase equal the parts of its complex exp of i times that phase
         rng = np.random.default_rng(5)
         t = rng.uniform(-1.0, 1.0, 200_000) * 10.0 ** rng.integers(-12, 9, 200_000)
         t = np.r_[0.0, -0.0, 5e-324, 0.25, -0.5, 1.0, 1e8 + 0.125, t]

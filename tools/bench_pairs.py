@@ -19,8 +19,8 @@ It is not gated; it tells growth of peak_rss_mib that comes from module size
 or import-time allocator layout apart from memory the workload holds. It is
 read as VmHWM, the process's own ru_maxrss: Linux carries the launching
 process's peak RSS over into a child's ru_maxrss at exec, and this script,
-holding numpy and scipy, would set that floor. Run it on a quiet machine: the pairs are timed one after the other, and
-other load shows up in them.
+holding numpy and scipy, would set that floor. Run it on a quiet machine:
+the pairs are timed one after the other, and other load shows up in them.
 
 A metric's verdict, with base spread the base runs' q3 - q1:
 
