@@ -73,6 +73,8 @@ _RADII_CAP = 10**4
 _LETTER_CAP = 10**7
 # most midpoint-rule nodes, --quad ** d_int, per deformed amplitude
 _QUAD_CAP = 10**7
+# most boxes check subadditive evaluates and reports, --samples times the scales
+_SAMPLE_CAP = 10**5
 # argparse reads a value starting with "-" as an option unless it is attached
 _BOX_HELP = "lo,hi or lo1,lo2;hi1,hi2 (write --box=-2,832 when lo is negative)"
 _THREADS_HELP = (
@@ -475,6 +477,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         }
         _emit_json(payload, args, hash_path)
     else:  # subadditive
+        scales = _parse_floats(args.scales)
+        if args.samples * len(scales) > _SAMPLE_CAP:
+            raise ResourceLimitError(
+                f"--samples {args.samples} at {len(scales)} scales is {args.samples * len(scales)} "
+                f"boxes, over {_SAMPLE_CAP}"
+            )
         wps = _load_pointset(args.input)
         xi = np.array(_parse_vector(args.xi))
         if args.domain is not None:
@@ -488,7 +496,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
         report = subadditive_limit(
             evaluator,
-            _parse_floats(args.scales),
+            scales,
             args.samples,
             args.seed,
             domain=domain,

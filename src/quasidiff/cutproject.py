@@ -243,6 +243,8 @@ def _enumerate_preimages(mat: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: i
     coordinates; this never loses a solution and keeps the candidate count
     near the final count. A final exact membership filter trims the slack.
     """
+    if cap < 0:
+        raise ValidationError(f"the candidate cap must not be negative, got {cap}")
     dtot = mat.shape[0]
     inv = np.linalg.inv(mat)
     # global per-coordinate bounds of the preimage of [lo, hi]

@@ -32,8 +32,9 @@ from .pointset import WeightedPointSet, _min_separation_raw
 _PAIR_BUDGET = 5 * 10**8
 # hard ceiling on distinct difference bins (memory guard)
 _BIN_BUDGET = 10**7
-# pairs in one batch of index offsets, unless one offset has more
-_PAIR_BLOCK = 2**19
+# pairs in one batch, unless one offset has more: its buffers and sort temporaries
+# take 2-4 MiB, near the 2 MiB L2 cache the size was measured on (2**14..2**17)
+_PAIR_BLOCK = 2**15
 # most worker threads scan_spectrum will start: 64, or the core count if higher
 _THREAD_CAP = max(64, os.cpu_count() or 1)
 # _exact_sum's bucket sums stay exact for fewer terms than this
@@ -350,47 +351,57 @@ def _load(w: np.ndarray, col: np.ndarray, order: np.ndarray | None) -> None:
         w[...] = col if order is None else col[order]
 
 
-def _aggregate_bins(acc: list, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray,
+def _aggregate_bins(run: tuple, m: int, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray,
                     lead: np.ndarray | None = None) -> int:
-    """Append one batch of quantized pairs to acc as a run of bins, in key order.
+    """Write one batch of quantized pairs as bins, in key order, into rows m, m + 1, ... of run.
 
-    A run holds each bin's key, pairwise sum of products, first raw difference
-    and per-axis raw minimum and maximum. With a lead column the pairs are
-    grouped by (lead, key), so the run lays the runs of each lead value end to
-    end and may repeat a key. Returns the number of bins.
+    run is autocorrelation's single run: per row a bin's key, pairwise sum of
+    products, first raw difference and per-axis raw minimum and maximum.
+    Returns the row after the last bin. With a lead column the pairs are
+    grouped by (lead, key), so the bins of each lead value lie end to end and
+    a key may repeat.
     """
     order, starts = _lexorder([lead, *qkeys.T] if lead is not None else qkeys.T)
-    ds = raw[order]
+    keys, sums, reps, mins, maxs = (a[m : m + len(starts)] for a in run)
     if len(starts) == len(order):  # a pair per bin: reduceat would copy each row
-        acc.append((qkeys[order], prod[order], ds, ds, ds))
-        return len(starts)
-    sums = np.column_stack([np.add.reduceat(part[order], starts) for part in (prod.real, prod.imag)])
-    acc.append((qkeys[order[starts]], sums.view(complex).ravel(), ds[starts],
-                np.minimum.reduceat(ds, starts), np.maximum.reduceat(ds, starts)))
-    return len(starts)
+        np.take(qkeys, order, axis=0, out=keys, mode="clip")
+        np.take(prod, order, out=sums, mode="clip")
+        np.take(raw, order, axis=0, out=reps, mode="clip")
+        mins[...] = maxs[...] = reps
+        return m + len(starts)
+    np.take(qkeys, order[starts], axis=0, out=keys, mode="clip")
+    for part, out in ((prod.real, sums.real), (prod.imag, sums.imag)):
+        np.add.reduceat(part[order], starts, out=out)
+    ds = raw[order]
+    np.take(ds, starts, axis=0, out=reps, mode="clip")
+    np.minimum.reduceat(ds, starts, out=mins)
+    np.maximum.reduceat(ds, starts, out=maxs)
+    return m + len(starts)
 
 
-def _merge_runs(runs: list) -> tuple:
-    """Merge runs into one run of distinct bins, in order of first appearance.
+def _merge_runs(run: tuple, m: int) -> int:
+    """Merge rows :m of run, in place, into k distinct bins in order of first appearance; return k.
 
-    Each bin's partial sums are added left to right in run order and its first
-    representative is kept, so merging merged runs again changes no bit. A
-    single run is read in place, and returned as it is if its keys are distinct.
+    Each bin's partial sums are added left to right in row order and its first
+    representative is kept, so merging merged rows again changes no bit. Rows
+    whose keys are distinct already are left as they are.
     """
-    keys, sums, reps, mins, maxs = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
+    keys, sums, reps, mins, maxs = (a[:m] for a in run)
     order, starts = _lexorder(keys.T)
-    if len(starts) == len(keys):  # distinct already, in order of appearance
-        return keys, sums, reps, mins, maxs
-    head = np.zeros(len(keys), dtype=bool)
+    if len(starts) == m:  # distinct already, in order of appearance
+        return m
+    head = np.zeros(m, dtype=bool)
     head[starts] = True
     ss = sums[order]
     total = ss[starts]
     np.add.at(total, np.cumsum(head)[~head] - 1, ss[~head])
     first = order[starts]
     seen = np.argsort(first)
-    return (keys[first[seen]], total[seen], reps[first[seen]],
-            np.minimum.reduceat(mins[order], starts)[seen],
-            np.maximum.reduceat(maxs[order], starts)[seen])
+    k, rows = len(starts), first[seen]
+    keys[:k], sums[:k], reps[:k], mins[:k], maxs[:k] = (
+        keys[rows], total[seen], reps[rows],
+        np.minimum.reduceat(mins[order], starts)[seen], np.maximum.reduceat(maxs[order], starts)[seen])
+    return k
 
 
 def _quantize(raw: np.ndarray, eps: float) -> np.ndarray:
@@ -415,7 +426,7 @@ def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
     drops the pairs beyond it, and the blocks, doubling from one offset, stop
     after the first offset that keeps none (the points are sorted, so no
     later offset keeps one). A radius in 2D or more, lead None: kd-tree pairs
-    ordered by (j, i).
+    ordered by (j, i), in batches of _PAIR_BLOCK.
     """
     n, dim = pts.shape
     if n < 2:
@@ -425,8 +436,8 @@ def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
 
         pairs = cKDTree(pts).query_pairs(max_radius, output_type="ndarray")
         pairs = pairs[_lexorder(pairs.T)[0]]
-        for start in range(0, len(pairs), 2**20):
-            ij = pairs[start : start + 2**20]
+        for start in range(0, len(pairs), _PAIR_BLOCK):
+            ij = pairs[start : start + _PAIR_BLOCK]
             yield pts[ij[:, 1]] - pts[ij[:, 0]], w[ij[:, 1]] * np.conj(w[ij[:, 0]]), None
         return
     wc = np.conj(w)
@@ -470,13 +481,17 @@ def autocorrelation(
     bin_epsilon defaults to 1e-6 times the minimum separation and must stay
     below half the minimum separation so distinct points cannot share a bin.
     Each batch of the pairs i > j (_pair_batches) is sorted by bin key
-    (_lexorder) and reduced to a run of bins held in arrays; a block of
-    index offsets is sorted by (offset, key), so its run is the runs of its
-    offsets end to end. One more sort merges the runs into the bins, adding
-    each bin's partial sums in offset or batch order; only a single kd-tree
-    batch is merged already. The patch stores only these bins and the
-    diagonal; their mirrors at -q, the exact conjugates, are laid out when
-    its public arrays are first read.
+    (_lexorder) and reduced to bins that _aggregate_bins writes, in place,
+    after the bins before them in one run: five column arrays with a row per
+    bin. A block of index offsets is sorted by (offset, key), so its bins are
+    those of its offsets end to end. One more sort (_merge_runs) merges the
+    rows in place, adding each bin's partial sums in offset or batch order;
+    only a single kd-tree batch is merged already. The run is allocated once
+    for at most min(pairs, _BIN_BUDGET + one block) rows and only the rows
+    written are touched; past _BIN_BUDGET rows it is merged before the next
+    batch. The patch stores only the bins and the diagonal; their mirrors at
+    -q, the exact conjugates, are laid out when its public arrays are first
+    read.
     """
     if box.dim != wps.dim:
         raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
@@ -503,30 +518,39 @@ def autocorrelation(
         )
 
     dim, vol = wps.dim, box.volume
-    runs, held = [], 0
-    merged = False  # runs is one run of distinct bins
+    # every batch holds at most one block of pairs, and the rows before it are
+    # at most _BIN_BUDGET distinct bins: rows past those are never touched
+    rows = min(n * (n - 1) // 2, _BIN_BUDGET + max(_PAIR_BLOCK, n - 1))
+    run = (np.empty((rows, dim), np.int64), np.empty(rows, complex),
+           *(np.empty((rows, dim)) for _ in range(3)))
+    held, merged = 0, False
     for d, prod, lead in _pair_batches(pts, w, max_radius):
-        held += _aggregate_bins(runs, _quantize(d, bin_epsilon), d, prod, lead)
-        merged = len(runs) == 1 and lead is None  # a kd-tree batch repeats no key
-        if held > _BIN_BUDGET:  # runs may repeat a bin: count the distinct ones
-            runs, merged = [_merge_runs(runs)], True
-            held = len(runs[0][0])
+        merged = not held and lead is None  # a single kd-tree batch repeats no key
+        held = _aggregate_bins(run, held, _quantize(d, bin_epsilon), d, prod, lead)
+        if held > _BIN_BUDGET:  # the rows may repeat a bin: count the distinct ones
+            held, merged = _merge_runs(run, held), True
             if held > _BIN_BUDGET:
                 raise ResourceLimitError(
                     f"autocorrelation produced more than {_BIN_BUDGET} distinct difference "
                     "bins; truncate with max_radius or coarsen bin_epsilon"
                 )
-    if not merged:  # without pairs, an empty run merges to no bins
-        runs = [_merge_runs(runs or [(np.zeros((0, dim), np.int64), np.zeros(0, complex),
-                                      *np.zeros((3, 0, dim)))])]
-    qkeys, sums, reps, rmin, rmax = runs[0]
-    # Python's complex / float (before 3.14), signed zeros included
-    re, im = sums.real, sums.imag
-    coeffs = (np.column_stack([re + im * 0.0, im - re * 0.0]) / vol).view(complex).ravel()
+    if not merged:
+        held = _merge_runs(run, held)
+    # the patch keeps the rows it uses; a copy frees the rest of the run
+    qkeys, coeffs, reps, rmin, spreads = (a[:held] if held == rows else a[:held].copy() for a in run)
+    del run
+    spreads -= rmin
+    # Python's complex / float (before 3.14), signed zeros included: (re + im*0.0,
+    # im - re*0.0) / vol; re changes only from -0.0 to +0.0 where im - re*0.0 = im
+    re, im = coeffs.real, coeffs.imag
+    re += im * 0.0
+    im -= re * 0.0
+    re /= vol
+    im /= vol
     # diagonal bin: ordered pairs (x, x) contribute |w_x|^2; no distinct pair
     # can land here because bin_epsilon < min_separation / 2
     patch = AutocorrelationPatch(
-        (qkeys, coeffs, reps, rmax - rmin),
+        (qkeys, coeffs, reps, spreads),
         _exact_sum(np.abs(w) ** 2) / vol,
         float(bin_epsilon),
         vol,

@@ -105,7 +105,9 @@ class WeightedPointSet:
     @classmethod
     def from_json(cls, obj: dict) -> "WeightedPointSet":
         try:
-            dim = int(obj["dim"])
+            dim = obj["dim"]
+            if type(dim) is not int:  # a JSON integer; bool is a subclass of int
+                raise TypeError(f"'dim' must be an integer, not {json.dumps(dim)}")
             pts = _numbers(obj["points"])
             raw = None if obj.get("weights") is None else _numbers(obj["weights"])
             meta = {} if obj.get("meta") is None else obj["meta"]

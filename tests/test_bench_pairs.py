@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,30 @@ def test_import_rss_leaves_out_the_launchers_memory(tmp_path):
     rss = bench_pairs._import_rss_mib(_checkout(tmp_path / "small", ""))
     del block
     assert rss < 64
+
+
+def test_machine_reads_cache_sizes(tmp_path):
+    from importlib.metadata import version
+
+    for i, (level, kind, size) in enumerate([("1", "Data", "48K"), ("1", "Instruction", "32K"),
+                                             ("2", "Unified", "2048K"), ("3", "Unified", "307200K")]):
+        index = tmp_path / f"index{i}"
+        index.mkdir()
+        for name, text in (("level", level), ("type", kind), ("size", size)):
+            (index / name).write_text(text + "\n")
+    (tmp_path / "uevent").write_text("")
+    machine = bench_pairs._machine(tmp_path)
+    assert machine["l2_cache"] == "2048K" and machine["l3_cache"] == "307200K"
+    assert machine["numpy"] == version("numpy") and machine["scipy"] == version("scipy")
+    assert "l2_cache" not in bench_pairs._machine(tmp_path / "missing")
+
+
+def test_launcher_imports_neither_numpy_nor_scipy():
+    # what the launcher holds sets the floor of each run's ru_maxrss (Linux carries
+    # it over at exec), so loading the script and reading the machine imports neither
+    probe = ("import importlib.util, sys; "
+             f"spec = importlib.util.spec_from_file_location('bench_pairs', {str(_spec.origin)!r}); "
+             "m = importlib.util.module_from_spec(spec); spec.loader.exec_module(m); m._machine(); "
+             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -413,9 +413,11 @@ class TestErrors:
             ["predict", "perturbed", "--model", "percolation:p=0.5", "--base-spectrum", "{tmp}/base.csv"],
             ["ww", "--rules", "fibonacci", "--alpha", "0.1", "--lengths", "10", "--f", "{no_lengths}"],
             ["ww", "--rules", "fibonacci", "--alpha", "0.1", "--lengths", "10", "--f", "{no_table}"],
+            ["gen", "model-set", "--scheme", "fibonacci", "--box", "0,10", "--cap", "-5"],
         ],
         ids=["radii", "grid", "grid-2d", "model", "tile-lengths", "word-file",
-             "substitution-json", "dist", "base-spectrum", "observable-json", "observable-table"],
+             "substitution-json", "dist", "base-spectrum", "observable-json", "observable-table",
+             "negative-cap"],
     )
     def test_bad_input_exit_code(self, argv, tmp_path, lattice_file, capsys):
         lattice2d = tmp_path / "lattice2d.json"
@@ -530,10 +532,14 @@ class TestErrors:
             ({"dim": 1, "points": [[0.0], [1.0]], "meta": [[1, 2]]}, "'meta' is a list"),
             ({"dim": 1, "points": [[0.0], [1.0]], "meta": ["ab"]}, "'meta' is a list"),
             (5, "point set needs 'dim'"),
+            ({"dim": True, "points": [[0.0], [1.0]]}, "'dim' must be an integer, not true"),
+            ({"dim": 1.9, "points": [[0.0], [1.0]]}, "'dim' must be an integer, not 1.9"),
+            ({"dim": "1", "points": [[0.0], [1.0]]}, "'dim' must be an integer, not \"1\""),
         ],
         ids=["weights-flat", "weights-number", "weights-string", "weights-numeric-string",
              "points-numeric-string", "points-boolean", "points-mixed-boolean", "weights-boolean",
-             "weights-mixed-boolean", "meta-list", "meta-pairs", "meta-string-list", "not-an-object"],
+             "weights-mixed-boolean", "meta-list", "meta-pairs", "meta-string-list", "not-an-object",
+             "dim-boolean", "dim-float", "dim-string"],
     )
     def test_malformed_pointset_exit_code(self, pointset, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -583,8 +589,12 @@ class TestErrors:
              "substitution_fixed_point"),
             (["predict", "model-set", "--scheme", "{deformed}", "--range", "0,3", "--floor", "0.1",
               "--quad", "100000000"], "deformed_amplitude"),
+            # checked before the input is read: the file does not exist
+            (["check", "subadditive", "--input", "{deformed}.missing", "--xi", "0.5", "--scales", "1,10",
+              "--samples", "100000000"], "subadditive_limit"),
         ],
-        ids=["radii-range", "gen-length", "lr-length", "lr-radius", "ww-lengths", "quad"],
+        ids=["radii-range", "gen-length", "lr-length", "lr-radius", "ww-lengths", "quad",
+             "subadditive-samples"],
     )
     def test_allocation_cap_exit_code(self, argv, blocked, deformed_scheme, monkeypatch, capsys):
         from quasidiff import cli
@@ -604,17 +614,22 @@ class TestErrors:
             ("_LETTER_CAP", ["gen", "substitution", "--rules", "fibonacci", "--length", "{n}"]),
             ("_QUAD_CAP", ["predict", "model-set", "--scheme", "{deformed}", "--range", "1.5,2",
                            "--floor", "0.1", "--quad", "{n}"]),
+            ("_SAMPLE_CAP", ["check", "subadditive", "--input", "{lattice}", "--xi", "0.5", "--scales", "1",
+                             "--samples", "{n}"]),
         ],
-        ids=["radii", "letters", "quad"],
+        ids=["radii", "letters", "quad", "samples"],
     )
-    def test_allocation_cap_boundary(self, cap, argv, tmp_path, deformed_scheme, monkeypatch, capsys):
+    def test_allocation_cap_boundary(self, cap, argv, tmp_path, deformed_scheme, lattice_file, monkeypatch,
+                                     capsys):
         from quasidiff import cli
 
         # the benchmark's and the docs' sizes stay within the caps
         assert cli._RADII_CAP >= 100 and cli._LETTER_CAP >= 2 * 10**5 and cli._QUAD_CAP >= 10001
+        assert cli._SAMPLE_CAP >= 10 * 3
         monkeypatch.setattr(cli, cap, 40)
         for n, code in ((40, 0), (41, 3)):
-            args = [a.replace("{n}", str(n)).replace("{deformed}", str(deformed_scheme)) for a in argv]
+            args = [a.replace("{n}", str(n)).replace("{deformed}", str(deformed_scheme))
+                    .replace("{lattice}", str(lattice_file)) for a in argv]
             assert run(*args, "--output", str(tmp_path / "out")) == code
         assert "Traceback" not in capsys.readouterr().err
 

@@ -32,6 +32,18 @@ def _vanhove(center, side0, growth, count):
     return cube_sequence(VanHoveCubes(np.array([center]), side0, growth, count))
 
 
+def _dense_pairs(pts, w, max_radius):
+    # reference pair generator: every pair i > j in one batch, ordered by j, then i
+    jj, ii = np.triu_indices(len(pts), 1)
+    yield pts[ii] - pts[jj], w[ii] * np.conj(w[jj]), None
+
+
+def _half_by_key(p):
+    # keys, coeffs, reps and spreads of the half, sorted by key, as bytes
+    order = np.lexsort(p._half[0].T[::-1])
+    return [a[order].tobytes() for a in p._half]
+
+
 @pytest.fixture(scope="module")
 def z100():
     return lattice_points(1, Box([0.0], [100.0]), 1.0)
@@ -342,11 +354,6 @@ class TestAutocorrelation:
     def test_offset_blocks_match_the_dense_reference(self, monkeypatch, patch):
         from quasidiff import diffraction
 
-        def dense(pts, w, max_radius):
-            # reference: every pair i > j in one batch, ordered by j, then i
-            jj, ii = np.triu_indices(len(pts), 1)
-            yield pts[ii] - pts[jj], w[ii] * np.conj(w[jj]), None
-
         rng = np.random.default_rng(7)
         dim = 3 if patch == "cubic" else 2
         pts = np.stack(np.meshgrid(*[np.arange(30.0 if dim == 2 else 8.0)] * dim, indexing="ij"), -1)
@@ -359,15 +366,81 @@ class TestAutocorrelation:
             w = rng.normal(size=len(pts)) + 1j * rng.normal(size=len(pts))
         wps, box = WeightedPointSet(dim, pts, w), Box([-1.0] * dim, [31.0] * dim)
         got = autocorrelation(wps, box)
-        monkeypatch.setattr(diffraction, "_pair_batches", dense)
+        monkeypatch.setattr(diffraction, "_pair_batches", _dense_pairs)
         want = autocorrelation(wps, box)
-
-        def by_key(p):  # keys, coeffs, reps and spreads of the half, sorted by key
-            order = np.lexsort(p._half[0].T[::-1])
-            return [a[order].tobytes() for a in p._half]
-
-        assert by_key(got) == by_key(want)
+        assert _half_by_key(got) == _half_by_key(want)
         assert got._diagonal == want._diagonal
+
+    def test_blocks_of_one_pair_per_bin_fill_one_run(self, monkeypatch):
+        from quasidiff import diffraction
+
+        # a jittered chain: every difference its own bin, so each block writes as many
+        # rows as it has pairs, and the blocks after the first start deep in the run
+        rng = np.random.default_rng(11)
+        x = np.arange(500.0) + rng.uniform(-0.3, 0.3, 500)
+        wps = WeightedPointSet(1, x, rng.normal(size=500) + 1j * rng.normal(size=500))
+        box, eps = Box([-1.0], [501.0]), 1e-10  # fine enough that no two differences share a bin
+        assert len(list(diffraction._pair_batches(wps.points, wps.weights, None))) >= 3
+        got = autocorrelation(wps, box, bin_epsilon=eps)
+        assert len(got._half[0]) == 500 * 499 // 2
+        monkeypatch.setattr(diffraction, "_pair_batches", _dense_pairs)
+        want = autocorrelation(wps, box, bin_epsilon=eps)
+        assert _half_by_key(got) == _half_by_key(want)
+        assert got._diagonal == want._diagonal
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bin_budget_merges_the_run_mid_build(self, monkeypatch, dim):
+        from quasidiff import diffraction
+
+        # a diluted chain or lattice: bins fed by many offsets, so the rows repeat
+        # bins, and small blocks make the budget merge the run before the last block
+        rng = np.random.default_rng(4)
+        if dim == 1:
+            pts = np.flatnonzero(rng.random(400) < 0.5).astype(float)[:, None]
+        else:
+            pts = np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0), indexing="ij"), -1).reshape(-1, 2)
+            pts = pts[rng.random(400) < 0.5]
+        wps = WeightedPointSet(dim, pts, np.exp(1j * pts @ np.arange(1.0, dim + 1.0)))
+        box = Box([-1.0] * dim, [401.0] * dim)
+        want = autocorrelation(wps, box)
+        monkeypatch.setattr(diffraction, "_PAIR_BLOCK", 1000)
+        monkeypatch.setattr(diffraction, "_BIN_BUDGET", len(want._half[0]))
+        batches, merges = [], []
+        pair_batches, merge_runs = diffraction._pair_batches, diffraction._merge_runs
+
+        def counted_batches(*args):
+            for batch in pair_batches(*args):
+                batches.append(len(batch[0]))
+                yield batch
+
+        def counted_merge(run, m):
+            merges.append(len(batches))
+            return merge_runs(run, m)
+
+        monkeypatch.setattr(diffraction, "_pair_batches", counted_batches)
+        monkeypatch.setattr(diffraction, "_merge_runs", counted_merge)
+        got = autocorrelation(wps, box)
+        assert 0 < merges[0] < len(batches) - 1  # blocks were written after a merge
+        for a, b in zip(got._half, want._half):
+            assert a.tobytes() == b.tobytes()
+        assert got._diagonal == want._diagonal
+
+    def test_run_rows_stay_within_the_bin_budget(self, monkeypatch):
+        import tracemalloc
+
+        from quasidiff import diffraction
+
+        # 1.2e6 pairs into about 3000 bins: a run of a row per pair would take 55 MB
+        x = np.flatnonzero(np.random.default_rng(5).random(3000) < 0.5).astype(float)
+        wps, box = WeightedPointSet(1, x), Box([-1.0], [3001.0])
+        monkeypatch.setattr(diffraction, "_BIN_BUDGET", 10**4)
+        tracemalloc.start()
+        try:
+            patch = autocorrelation(wps, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(patch._half[0]) < 3000 and peak < 16 * 2**20
 
     @pytest.mark.parametrize("block", [None, 1000, 1])  # None: the default
     @pytest.mark.parametrize("patch, radius", [

@@ -13,14 +13,16 @@ records the machine, both commit ids, every run's end-to-end metrics, per-side
 medians with quartiles, how many pairs the working tree won per metric (by the
 `better` direction in BENCHMARK.json), each metric's verdict, the runs on each
 side that failed a check or an operation, and the tier-1 wall time of each
-side. Next to each run it records the import RSS: the peak RSS of a Python
-that has only imported quasidiff.cli from that side, made from the same path.
-It is not gated; it tells growth of peak_rss_mib that comes from module size
-or import-time allocator layout apart from memory the workload holds. It is
-read as VmHWM, the process's own ru_maxrss: Linux carries the launching
-process's peak RSS over into a child's ru_maxrss at exec, and this script,
-holding numpy and scipy, would set that floor. Run it on a quiet machine:
-the pairs are timed one after the other, and other load shows up in them.
+side. The machine entry has the L2 and L3 cache sizes. Next to each run it
+records the import RSS: the peak RSS of a Python that has only imported
+quasidiff.cli from that side, made from the same path. It is not gated; it
+tells growth of peak_rss_mib that comes from module size or import-time
+allocator layout apart from memory the workload holds. It is read as VmHWM,
+the process's own ru_maxrss: Linux carries the launching process's peak RSS
+over into a child's ru_maxrss at exec. For the same reason this script reads
+the numpy and scipy versions from package metadata and imports neither, so
+that its own peak stays below a run's. Run it on a quiet machine: the pairs
+are timed one after the other, and other load shows up in them.
 
 A metric's verdict, with base spread the base runs' q3 - q1:
 
@@ -46,9 +48,11 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
+from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CACHES = Path("/sys/devices/system/cpu/cpu0/cache")
 IMPORT_RSS = "import quasidiff.cli; print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
@@ -90,6 +94,21 @@ def _import_rss_mib(checkout: Path) -> float:
     proc = subprocess.run([sys.executable, "-c", IMPORT_RSS], cwd=checkout, env=env,
                           check=True, capture_output=True, text=True)
     return int(proc.stdout) / 1024.0  # VmHWM is in kB
+
+
+def _machine(caches: Path = CACHES) -> dict:
+    """Core count, Python, numpy and scipy versions (from package metadata), and the L2 and
+    L3 cache sizes as the kernel writes them (e.g. 2048K), which the pair block is sized for."""
+    machine = {"nproc": os.cpu_count(), "python": platform.python_version(),
+               "numpy": version("numpy"), "scipy": version("scipy")}
+    for index in sorted(caches.glob("index*")):
+        try:
+            level, size = ((index / name).read_text().strip() for name in ("level", "size"))
+        except OSError:
+            continue
+        if level in ("2", "3"):
+            machine[f"l{level}_cache"] = size
+    return machine
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
@@ -158,12 +177,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
-    import numpy
-    import scipy
-
     record = {
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": numpy.__version__, "scipy": scipy.__version__},
+        "machine": _machine(),
         "base": _git("rev-parse", args.base),
         "head": _git("rev-parse", "HEAD"),
         # untracked, unignored files count: _copy_working_tree copies them
