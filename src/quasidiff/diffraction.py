@@ -32,8 +32,7 @@ from .pointset import WeightedPointSet, _min_separation_raw
 _PAIR_BUDGET = 5 * 10**8
 # hard ceiling on distinct difference bins (memory guard)
 _BIN_BUDGET = 10**7
-# pairs in one batch, unless one offset has more: its buffers and sort temporaries
-# take 2-4 MiB, near the 2 MiB L2 cache the size was measured on (2**14..2**17)
+# pairs in one batch unless one offset has more: 2-4 MiB of buffers, near a 2 MiB L2
 _PAIR_BLOCK = 2**15
 # most worker threads scan_spectrum will start: 64, or the core count if higher
 _THREAD_CAP = max(64, os.cpu_count() or 1)
@@ -353,13 +352,12 @@ def _load(w: np.ndarray, col: np.ndarray, order: np.ndarray | None) -> None:
 
 def _aggregate_bins(run: tuple, m: int, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray,
                     lead: np.ndarray | None = None) -> int:
-    """Write one batch of quantized pairs as bins, in key order, into rows m, m + 1, ... of run.
+    """Write one batch of quantized pairs as bins, in key order, into rows m, ... of run.
 
-    run is autocorrelation's single run: per row a bin's key, pairwise sum of
-    products, first raw difference and per-axis raw minimum and maximum.
-    Returns the row after the last bin. With a lead column the pairs are
-    grouped by (lead, key), so the bins of each lead value lie end to end and
-    a key may repeat.
+    Per row, run holds a bin's key, pairwise sum of products, first raw
+    difference and per-axis raw minimum and maximum. Returns the row after the
+    last bin. With a lead column the pairs are grouped by (lead, key), so the
+    bins of each lead value lie end to end and may repeat a key.
     """
     order, starts = _lexorder([lead, *qkeys.T] if lead is not None else qkeys.T)
     keys, sums, reps, mins, maxs = (a[m : m + len(starts)] for a in run)
@@ -380,11 +378,11 @@ def _aggregate_bins(run: tuple, m: int, qkeys: np.ndarray, raw: np.ndarray, prod
 
 
 def _merge_runs(run: tuple, m: int) -> int:
-    """Merge rows :m of run, in place, into k distinct bins in order of first appearance; return k.
+    """Merge rows :m of run in place into its k distinct bins, in order of first appearance.
 
     Each bin's partial sums are added left to right in row order and its first
-    representative is kept, so merging merged rows again changes no bit. Rows
-    whose keys are distinct already are left as they are.
+    representative is kept, so merging merged rows again changes no bit.
+    Returns k; distinct rows are left as they are.
     """
     keys, sums, reps, mins, maxs = (a[:m] for a in run)
     order, starts = _lexorder(keys.T)
@@ -481,17 +479,15 @@ def autocorrelation(
     bin_epsilon defaults to 1e-6 times the minimum separation and must stay
     below half the minimum separation so distinct points cannot share a bin.
     Each batch of the pairs i > j (_pair_batches) is sorted by bin key
-    (_lexorder) and reduced to bins that _aggregate_bins writes, in place,
-    after the bins before them in one run: five column arrays with a row per
-    bin. A block of index offsets is sorted by (offset, key), so its bins are
-    those of its offsets end to end. One more sort (_merge_runs) merges the
-    rows in place, adding each bin's partial sums in offset or batch order;
-    only a single kd-tree batch is merged already. The run is allocated once
-    for at most min(pairs, _BIN_BUDGET + one block) rows and only the rows
-    written are touched; past _BIN_BUDGET rows it is merged before the next
-    batch. The patch stores only the bins and the diagonal; their mirrors at
-    -q, the exact conjugates, are laid out when its public arrays are first
-    read.
+    (_lexorder) and its bins are written in place after those before them,
+    into one run of a row per bin; a block of index offsets is sorted by
+    (offset, key), so its bins are its offsets' bins end to end. One more
+    sort merges the rows in place, adding each bin's partial sums in offset
+    or batch order; only a single kd-tree batch is merged already. The run
+    has min(pairs, _BIN_BUDGET + one block) rows, of which only those written
+    take memory, and is merged whenever it holds over _BIN_BUDGET. The patch
+    stores only the bins and the diagonal; their mirrors at -q, the exact
+    conjugates, are laid out when its public arrays are first read.
     """
     if box.dim != wps.dim:
         raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
@@ -518,8 +514,7 @@ def autocorrelation(
         )
 
     dim, vol = wps.dim, box.volume
-    # every batch holds at most one block of pairs, and the rows before it are
-    # at most _BIN_BUDGET distinct bins: rows past those are never touched
+    # a batch has at most one block of pairs, after at most _BIN_BUDGET rows
     rows = min(n * (n - 1) // 2, _BIN_BUDGET + max(_PAIR_BLOCK, n - 1))
     run = (np.empty((rows, dim), np.int64), np.empty(rows, complex),
            *(np.empty((rows, dim)) for _ in range(3)))
@@ -536,12 +531,12 @@ def autocorrelation(
                 )
     if not merged:
         held = _merge_runs(run, held)
-    # the patch keeps the rows it uses; a copy frees the rest of the run
+    # a copy frees the rows the patch does not use
     qkeys, coeffs, reps, rmin, spreads = (a[:held] if held == rows else a[:held].copy() for a in run)
     del run
     spreads -= rmin
     # Python's complex / float (before 3.14), signed zeros included: (re + im*0.0,
-    # im - re*0.0) / vol; re changes only from -0.0 to +0.0 where im - re*0.0 = im
+    # im - re*0.0) / vol; re only turns -0.0 to +0.0, where im - re*0.0 = im
     re, im = coeffs.real, coeffs.imag
     re += im * 0.0
     im -= re * 0.0
