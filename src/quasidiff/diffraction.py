@@ -26,14 +26,13 @@ import numpy as np
 
 from .errors import NumericalDiagnosticError, ResourceLimitError, ValidationError
 from .geometry import Box, _vector
-from .pointset import WeightedPointSet, _min_separation_raw
+from .pointset import _PAIR_BLOCK, WeightedPointSet, _min_separation_raw
 
-# unbounded-radius autocorrelation refuses patches with more pair candidates
+# autocorrelation refuses patches with more ordered pair candidates: n * n
+# unbounded, n + 2 * pairs within a radius in 2D or more
 _PAIR_BUDGET = 5 * 10**8
 # hard ceiling on distinct difference bins (memory guard)
 _BIN_BUDGET = 10**7
-# pairs in one batch unless one offset has more: 2-4 MiB of buffers, near a 2 MiB L2
-_PAIR_BLOCK = 2**15
 # most worker threads scan_spectrum will start: 64, or the core count if higher
 _THREAD_CAP = max(64, os.cpu_count() or 1)
 # _exact_sum's bucket sums stay exact for fewer terms than this
@@ -424,7 +423,9 @@ def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
     drops the pairs beyond it, and the blocks, doubling from one offset, stop
     after the first offset that keeps none (the points are sorted, so no
     later offset keeps one). A radius in 2D or more, lead None: kd-tree pairs
-    ordered by (j, i), in batches of _PAIR_BLOCK.
+    ordered by (j, i), in batches of _PAIR_BLOCK; ResourceLimitError first if
+    n + 2 * pairs, the ordered pairs counted as the unbounded path counts n * n,
+    exceeds _PAIR_BUDGET.
     """
     n, dim = pts.shape
     if n < 2:
@@ -432,7 +433,14 @@ def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
     if dim > 1 and max_radius is not None:
         from scipy.spatial import cKDTree
 
-        pairs = cKDTree(pts).query_pairs(max_radius, output_type="ndarray")
+        tree = cKDTree(pts)
+        count = int(tree.count_neighbors(tree, max_radius))  # n + 2 * pairs, in O(n) memory
+        if count > _PAIR_BUDGET:
+            raise ResourceLimitError(
+                f"autocorrelation of {n} points within radius {max_radius:.3g} needs "
+                f"{count:.2e} pairs, over {_PAIR_BUDGET:.0e}; pass a smaller max_radius"
+            )
+        pairs = tree.query_pairs(max_radius, output_type="ndarray")
         pairs = pairs[_lexorder(pairs.T)[0]]
         for start in range(0, len(pairs), _PAIR_BLOCK):
             ij = pairs[start : start + _PAIR_BLOCK]

@@ -9,8 +9,9 @@ byte-level diffing are reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -19,6 +20,12 @@ from .geometry import Box, _vector
 
 # most points lattice_points will enumerate
 _LATTICE_CAP = 10**7
+# pairs in one batch (in autocorrelation, unless one offset has more): 2-4 MiB of
+# buffers, near a 2 MiB L2
+_PAIR_BLOCK = 2**15
+# most cells along one axis of _closest_pair's grid, so that a cell index carries a
+# rounding error below 2**-22 of a cell, well inside the cell's 2**-20 margin
+_GRID_AXIS = 2**29
 
 
 @dataclass(frozen=True)
@@ -360,7 +367,8 @@ def min_separation(wps: WeightedPointSet) -> float:
     """Minimal pairwise distance.
 
     1D patches use the sorted adjacent gap (exact, O(n)); higher dimensions
-    use a k-d tree nearest-neighbor query.
+    search a grid of cells a little wider than a known pair (_closest_pair),
+    exact and in numpy alone.
     """
     if len(wps) < 2:
         raise ValidationError(f"min_separation needs at least 2 points, got {len(wps)}")
@@ -370,7 +378,80 @@ def min_separation(wps: WeightedPointSet) -> float:
 def _min_separation_raw(pts: np.ndarray) -> float:
     if pts.shape[1] == 1:
         return float(np.diff(pts[:, 0]).min())
-    from scipy.spatial import cKDTree
+    return _closest_pair(pts)
 
-    d, _ = cKDTree(pts).query(pts, k=2)
-    return float(d[:, 1].min())
+
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of a and b, the squares summed in axis order."""
+    d2 = (a[:, 0] - b[:, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        d2 += (a[:, k] - b[:, k]) ** 2
+    return d2
+
+
+def _closest_pair(pts: np.ndarray) -> float:
+    """Least distance between two of the n >= 2 rows of pts, in any order, in 2D or more.
+
+    Exact: sqrt of the least squared distance, the squares summed in axis order, which
+    is also the float a k-d tree query or a brute-force search returns. The least gap h
+    between neighbours in a sort along axis 0 is the length of a real pair, so the
+    closest pair lies in one cell, or two neighbouring cells, of a grid whose cells are
+    a little wider than h; the margin absorbs the rounding of the cell indices. Only
+    those pairs are measured, _PAIR_BLOCK at a time. A grid too fine for int64 cell
+    keys, or for cell indices to stay within the margin, is coarsened: it finds the
+    same pair among more candidates. Once, h is lowered to the least gap between
+    neighbours inside a cell, and the grid rebuilt if that halves it (crowded cells,
+    as in tight columns).
+    """
+    n, dim = pts.shape
+    lo, span = pts.min(axis=0), np.ptp(pts, axis=0)
+    by_x = pts[np.argsort(pts[:, 0], kind="stable")]
+    h2 = _sq_dist(by_x[1:], by_x[:-1]).min()
+    for regrid in (True, False):
+        if h2 == 0:
+            return 0.0
+        cell = max(math.sqrt(h2) * (1 + 2.0**-20), span.max() / _GRID_AXIS)
+        while math.prod(int(c) for c in np.floor(span / cell) + 1) > 2**62:
+            cell *= 2
+        shape = np.floor(span / cell).astype(np.int64) + 1
+        strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+        idx = np.floor((pts - lo) / cell).astype(np.int64)
+        key = idx @ strides
+        order = np.argsort(key, kind="stable")
+        key, q = key[order], pts[order]
+        same = key[1:] == key[:-1]
+        if not same.any():
+            break
+        inner = _sq_dist(q[1:][same], q[:-1][same]).min()
+        if not (regrid and 4 * inner <= h2):
+            break
+        h2 = inner
+    first = np.flatnonzero(np.r_[True, ~same])
+    count = np.diff(np.append(first, n))
+    ukey, ucell = key[first], idx[order[first]]
+    # cell pairs: each crowded cell with itself, each cell with its forward neighbours
+    crowded = np.flatnonzero(count > 1)
+    a, b = [crowded], [crowded]
+    for step in product((-1, 0, 1), repeat=dim):
+        if step <= (0,) * dim:
+            continue
+        near = ucell + step
+        inside = np.flatnonzero(((near >= 0) & (near < shape)).all(axis=1))
+        nkey = ukey[inside] + np.dot(step, strides)
+        j = np.searchsorted(ukey, nkey).clip(max=len(ukey) - 1)
+        hit = ukey[j] == nkey
+        a.append(inside[hit])
+        b.append(j[hit])
+    a, b = np.concatenate(a), np.concatenate(b)
+    pairs = count[a] * count[b]
+    ends, total = np.cumsum(pairs), int(pairs.sum())
+    for t0 in range(0, total, _PAIR_BLOCK):
+        t = np.arange(t0, min(t0 + _PAIR_BLOCK, total))
+        c = np.searchsorted(ends, t, side="right")
+        t -= ends[c] - pairs[c]
+        width = count[b[c]]
+        i, j = first[a[c]] + t // width, first[b[c]] + t % width
+        keep = i < j  # a cell with itself gives every ordered pair
+        if keep.any():
+            h2 = min(h2, _sq_dist(q[i[keep]], q[j[keep]]).min())
+    return math.sqrt(h2)

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -152,6 +154,25 @@ class TestPerturb:
             "perturb", "percolate", "--input", str(tmp_path / "nope.json"),
             "--p", "0.5", "--seed", "0",
         ) == 2
+
+    def test_2d_commands_import_no_scipy(self, tmp_path):
+        # the grid closest pair serves gen, displace and the autocorrelation's bin width
+        script = (
+            "import sys; from quasidiff.cli import main\n"
+            "for argv in (['gen', 'lattice', '--dim', '2', '--box=-1,-1;11,11', '--output', 'lat.json'],\n"
+            "             ['perturb', 'displace', '--input', 'lat.json', '--dist', 'uniform_interval:a=0.1',\n"
+            "              '--seed', '3', '--output', 'disp.json'],\n"
+            "             ['diffract', 'scan', '--input', 'disp.json', '--box', '0,0;10,10', '--xi', '1,0,0.5,0.25',\n"
+            "              '--estimator', 'autocorr', '--output', 'auto.csv']):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+        assert read_json(tmp_path / "disp.json")["pointset"]["meta"]["params"]["min_separation"] > 0.8
 
 
 class TestDiffract:

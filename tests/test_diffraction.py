@@ -507,6 +507,21 @@ class TestAutocorrelation:
         with pytest.raises(ResourceLimitError, match="distinct difference"):
             autocorrelation(wps, box)
 
+    def test_radius_pair_budget(self, monkeypatch):
+        from quasidiff import ResourceLimitError, diffraction
+
+        pts = np.random.default_rng(8).random((2000, 2))
+        wps = WeightedPointSet(2, pts, np.exp(1j * pts[:, 0]))
+        box = Box([0.0, 0.0], [1.0, 1.0])
+        ref = autocorrelation(wps, box, max_radius=0.02)
+        # every pair within the radius: 2000 + 2 * 1999000 ordered pairs, as n * n counts them
+        monkeypatch.setattr(diffraction, "_PAIR_BUDGET", 10**6)
+        with pytest.raises(ResourceLimitError, match="within radius"):
+            autocorrelation(wps, box, max_radius=1e9)
+        patch = autocorrelation(wps, box, max_radius=0.02)
+        for name in ("keys", "coeffs", "reps", "spreads"):
+            assert getattr(patch, name).tobytes() == getattr(ref, name).tobytes()
+
 
 class TestIntensityFromAutocorr:
     def test_averaging_box_near_prediction(self, fib_patch_big, fib_peaks):

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from quasidiff import (
     substitution_fixed_point,
     word_to_pointset,
 )
-from quasidiff.pointset import _json_text
+from quasidiff.pointset import _json_text, _min_separation_raw
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -193,14 +194,51 @@ class TestWordToPointset:
         assert gaps.tolist() == pytest.approx([1.0, TAU], abs=1e-9)
 
 
+def _brute_separation(pts):
+    """Least distance over all pairs, the squares summed in axis order."""
+    d = pts[:, None, :] - pts[None, :, :]
+    d2 = d[..., 0] ** 2
+    for k in range(1, pts.shape[1]):
+        d2 += d[..., k] ** 2
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min()))
+
+
+@st.composite
+def _layouts(draw):
+    """Rows in random order: random sets, lattices, tight columns or two points, in 2D to
+    4D, at several scales, some offset by 1e9."""
+    dim = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "lattice", "columns", "two"]))
+    if kind == "random":
+        pts = rng.random((draw(st.integers(2, 300)), dim))
+    elif kind == "lattice":
+        side = draw(st.integers(2, {2: 15, 3: 6, 4: 4}[dim]))
+        axes = np.meshgrid(*[np.arange(float(side))] * dim, indexing="ij")
+        pts = np.stack(axes, -1).reshape(-1, dim) + draw(st.sampled_from([0.0, 0.5]))
+    elif kind == "columns":  # near-coincident columns: the sort along axis 0 sees only far pairs
+        cols, rows = draw(st.integers(2, 30)), draw(st.integers(2, 40))
+        pts = np.zeros((cols * rows, dim))
+        pts[:, 0] = np.repeat(np.arange(cols) * draw(st.sampled_from([1e-6, 1e-3])), rows)
+        pts[:, 1] = np.tile(np.arange(float(rows)), cols)
+        pts[:, 2:] = rng.integers(0, 3, (cols * rows, dim - 2))
+    else:
+        pts = rng.random((2, dim))
+    pts = pts * draw(st.sampled_from([1.0, 0.1, 1e-3, 1e4]))
+    if draw(st.booleans()):
+        pts = pts + 1e9
+    return pts[rng.permutation(len(pts))]
+
+
 class TestMinSeparation:
     def test_1d(self):
         wps = WeightedPointSet(1, [0.0, 0.25, 1.0])
-        assert min_separation(wps) == pytest.approx(0.25)
+        assert min_separation(wps) == 0.25
 
     def test_2d(self):
         wps = WeightedPointSet(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 0.3]])
-        assert min_separation(wps) == pytest.approx(0.3)
+        assert min_separation(wps) == 0.3
 
     def test_needs_two_points(self):
         with pytest.raises(ValidationError):
@@ -215,6 +253,31 @@ class TestMinSeparation:
             abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1 :]
         )
         assert min_separation(wps) == pytest.approx(brute)
+
+    @given(_layouts())
+    @settings(max_examples=60, deadline=None)
+    def test_grid_matches_brute_force_and_kd_tree(self, pts):
+        from scipy.spatial import cKDTree
+
+        want = _brute_separation(pts)
+        assert want == float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
+        assert _min_separation_raw(pts) == want
+        if want > 0:  # a patch holds no duplicate point
+            assert min_separation(WeightedPointSet(pts.shape[1], pts)) == want
+
+    def test_crowded_cell_memory(self):
+        # one far point coarsens the grid until the cluster shares a cell: 4e6
+        # candidate pairs, measured 2**15 at a time
+        rng = np.random.default_rng(5)
+        pts = np.vstack([rng.random((2000, 2)), [[1e12, 0.5]]])
+        tracemalloc.start()
+        try:
+            got = _min_separation_raw(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == _brute_separation(pts)
+        assert peak < 6 * 2**20
 
 
 # floats whose shortest repr takes each form: signed zero, subnormal, exponent, largest
