@@ -26,13 +26,15 @@ import numpy as np
 
 from .errors import NumericalDiagnosticError, ResourceLimitError, ValidationError
 from .geometry import Box, _vector
-from .pointset import _PAIR_BLOCK, WeightedPointSet, _min_separation_raw
+from .pointset import WeightedPointSet, _min_separation_raw
 
 # autocorrelation refuses patches with more ordered pair candidates: n * n
 # unbounded, n + 2 * pairs within a radius in 2D or more
 _PAIR_BUDGET = 5 * 10**8
 # hard ceiling on distinct difference bins (memory guard)
 _BIN_BUDGET = 10**7
+# pairs in one batch unless one offset has more: 2-4 MiB of buffers, near a 2 MiB L2
+_PAIR_BLOCK = 2**15
 # most worker threads scan_spectrum will start: 64, or the core count if higher
 _THREAD_CAP = max(64, os.cpu_count() or 1)
 # _exact_sum's bucket sums stay exact for fewer terms than this

@@ -20,8 +20,8 @@ from .geometry import Box, _vector
 
 # most points lattice_points will enumerate
 _LATTICE_CAP = 10**7
-# pairs in one batch (in autocorrelation, unless one offset has more): 2-4 MiB of
-# buffers, near a 2 MiB L2
+# candidate pairs _closest_pair measures at once: under 4 MiB of temporaries, as
+# for the autocorrelation's pair blocks (diffraction._PAIR_BLOCK)
 _PAIR_BLOCK = 2**15
 # most cells along one axis of _closest_pair's grid, so that a cell index carries a
 # rounding error below 2**-22 of a cell, well inside the cell's 2**-20 margin
