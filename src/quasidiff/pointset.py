@@ -307,7 +307,9 @@ def substitution_fixed_point(s: Substitution, min_length: int) -> str:
     """Prefix of the one-sided fixed point with length >= min_length.
 
     Iterates the rules starting from the seed symbol. The first iterate whose
-    length reaches min_length is returned untruncated.
+    length reaches min_length is returned untruncated. Each step builds
+    sigma^(n+1)(c) = sigma^n(rules[c]) for every letter c from the level-n
+    images, a join of a few long strings in place of one per letter of the word.
     """
     if min_length < 1:
         raise ValidationError(f"min_length must be at least 1, got {min_length}")
@@ -318,12 +320,13 @@ def substitution_fixed_point(s: Substitution, min_length: int) -> str:
         )
     if not s.is_primitive():
         raise ValidationError("substitution is not primitive")
+    images = {c: c for c in s.alphabet}
     w = s.seed
     while len(w) < min_length:
-        nxt = "".join(s.rules[c] for c in w)
-        if len(nxt) == len(w):
+        images = {c: "".join(images[d] for d in s.rules[c]) for c in s.alphabet}
+        if len(images[s.seed]) == len(w):
             raise ValidationError("substitution does not expand; fixed point is finite")
-        w = nxt
+        w = images[s.seed]
     return w
 
 

@@ -140,6 +140,29 @@ class TestSubstitution:
         image = "".join(s.rules[c] for c in w)
         assert image[: len(w)] == w
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            named_substitution("fibonacci"),
+            named_substitution("thue-morse"),
+            named_substitution("silver-mean"),
+            Substitution(("a", "b", "c"), {"a": "acb", "b": "c", "c": "ba"}, {"a": 1.0, "b": 1.0, "c": 1.0}, "a"),
+        ],
+        ids=["fibonacci", "thue-morse", "silver-mean", "three-letters"],
+    )
+    @pytest.mark.parametrize("min_length", [1, 2, 7, 1000, 54321])
+    def test_fixed_point_is_the_letterwise_iterate(self, s, min_length):
+        w = s.seed
+        while len(w) < min_length:
+            w = "".join(s.rules[c] for c in w)
+        assert substitution_fixed_point(s, min_length) == w
+
+    def test_fixed_point_of_a_non_expanding_substitution(self):
+        s = Substitution(("a",), {"a": "a"}, {"a": 1.0}, "a")
+        assert substitution_fixed_point(s, 1) == "a"
+        with pytest.raises(ValidationError, match="does not expand"):
+            substitution_fixed_point(s, 2)
+
     def test_fibonacci_word_recurrence(self):
         # independent construction: w_{n+1} = w_n + w_{n-1}
         s = named_substitution("fibonacci")
