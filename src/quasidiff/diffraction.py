@@ -14,16 +14,15 @@ suite. Frequencies follow the character (xi, x) = exp(2 pi i xi.x).
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import _exact_sum, _lexorder
 from .errors import NumericalDiagnosticError, ResourceLimitError, ValidationError
 from .geometry import Box, _vector
 from .pointset import WeightedPointSet, _min_separation_raw
@@ -37,43 +36,6 @@ _BIN_BUDGET = 10**7
 _PAIR_BLOCK = 2**15
 # most worker threads scan_spectrum will start: 64, or the core count if higher
 _THREAD_CAP = max(64, os.cpu_count() or 1)
-# _exact_sum's bucket sums stay exact for fewer terms than this
-_EXACT_SUM_TERMS = 2**26
-# binary exponents (np.frexp) _exact_sum buckets: below, a piece could go
-# subnormal; above, a sum of 2**26 terms could overflow
-_EXP_LO, _EXP_HI = -968, 960
-
-
-def _exact_sum(x: np.ndarray) -> float:
-    """Correctly rounded sum of a 1D float array, with the bits of math.fsum(x).
-
-    Each term is m 2**e (np.frexp, 0.5 <= |m| < 1), and t = m 2**27 splits
-    exactly into the integer H = trunc(t), below 2**27, and F = t - H, a
-    multiple of 2**-26 below 1. np.bincount adds H and F per exponent e. With
-    fewer than 2**26 terms every partial sum is an integer below 2**53 (H) or
-    a multiple of 2**-26 below 2**26 (F), so no addition rounds. The pieces
-    H_e 2**(e - 27) and F_e 2**(e - 27) are exact doubles summing to the exact
-    sum of x, which math.fsum rounds correctly. A correctly rounded sum has
-    one value, so it is math.fsum(x) bit for bit; a zero sum is +0.0 in both.
-    Empty, long (_EXACT_SUM_TERMS), non-finite, and very small or very large
-    input (exponents outside _EXP_LO.._EXP_HI) goes to math.fsum(x) itself,
-    with its result or its OverflowError or ValueError.
-    """
-    if len(x) == 0 or len(x) >= _EXACT_SUM_TERMS:
-        return math.fsum(x)
-    m, e = np.frexp(x)
-    lo, hi = int(e.min()), int(e.max())
-    if lo < _EXP_LO or hi > _EXP_HI:
-        return math.fsum(x)
-    e -= lo
-    m *= 2.0**27
-    h = np.trunc(m)
-    high = np.bincount(e, h)
-    if not np.isfinite(high).all():  # inf or nan terms (frexp gives them e = 0)
-        return math.fsum(x)
-    low = np.bincount(e, np.subtract(m, h, out=m))
-    scale = np.arange(lo - 27, hi - 26)
-    return math.fsum(np.ldexp(high, scale).tolist() + np.ldexp(low, scale).tolist())
 
 
 @dataclass(frozen=True)
@@ -198,10 +160,8 @@ class AutocorrelationPatch:
     coefficients, one raw (unrounded) difference each, and the per-axis spread
     of raw differences that fell into the bin; _diagonal is the coefficient
     at 0. Hermitian symmetry is structural: the mirror of each bin sits at -q
-    with the exact conjugate coefficient. The public keys, coeffs, reps and
-    spreads lay out the diagonal, every bin and its mirror, lexicographically
-    sorted by key; they are built from the half on first read and cached.
-    len(patch) counts the full layout and builds nothing.
+    with the exact conjugate coefficient, and is never built. len(patch)
+    counts the diagonal, every bin and its mirror.
     """
 
     _half: tuple
@@ -233,33 +193,6 @@ class AutocorrelationPatch:
     def dim(self) -> int:
         return self._half[0].shape[1]
 
-    @cached_property
-    def _full(self) -> tuple:
-        """(keys, coeffs, reps, spreads) of the diagonal, every bin and its mirror, sorted by key."""
-        keys, coeffs, reps, spreads = self._half
-        origin = np.zeros((1, self.dim))
-
-        def layout(diag, pos, neg):  # diagonal, then bin, mirror, ...: the order coinciding keys keep
-            return np.concatenate([diag, np.stack([pos, neg], axis=1).reshape(-1, *pos.shape[1:])])
-
-        full = layout(origin.astype(np.int64), keys, -keys)
-        order, _ = _lexorder(full.T)
-        arrays = (full[order], layout([self._diagonal], coeffs, np.conj(coeffs))[order],
-                  layout(origin, reps, -reps)[order], layout(origin, spreads, spreads)[order])
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
-
-    keys = property(lambda self: self._full[0], doc="Quantized difference vectors, sorted.")
-    coeffs = property(lambda self: self._full[1], doc="Volume-normalized coefficient of each key.")
-    reps = property(lambda self: self._full[2], doc="One raw difference vector per key.")
-    spreads = property(lambda self: self._full[3], doc="Per-axis spread of the raw differences per key.")
-
-    @property
-    def bins(self) -> dict:
-        """Mapping {quantized difference tuple: coefficient}."""
-        return dict(zip(map(tuple, self.keys.tolist()), self.coeffs.tolist()))
-
     def max_bin_spread(self) -> float:
         """Largest per-axis spread of raw differences sharing a bin.
 
@@ -268,87 +201,6 @@ class AutocorrelationPatch:
         classes are being merged and the quantization is too coarse.
         """
         return float(self._half[3].max(initial=0.0))
-
-
-def _lexorder(cols) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts) of integer key columns of equal length, most significant
-    first: order is np.lexsort(cols[::-1]), the stable lexicographic order of
-    the rows, and starts the positions in it where a run of equal rows begins.
-
-    Each column is taken as an offset from its minimum, and the rows are
-    sorted by digits of these offsets, least significant first (Knuth, TAOCP
-    vol. 3, 5.2.5). A digit packs as many whole columns as fit into the high
-    64 - p bits of a uint64, p = bits(n - 1); a wider column is split into
-    digits of 64 - p bits. A pass writes digit << p | j for the row at
-    position j of the current order into one word buffer. The words are
-    distinct, so numpy's unstable vectorized sort of them is the stable sort
-    by digit, and their low p bits give the next order. After a single pass
-    the runs are read from the sorted words; after more, from the gathered
-    columns.
-    """
-    n = len(cols[0])
-    if n == 0:
-        return np.zeros(0, np.intp), np.zeros(0, np.intp)
-    p = (n - 1).bit_length()
-    room = 64 - p
-    # digits, least significant first; a digit lists its pieces, least
-    # significant first, as (column, minimum, low bit, bits): whole columns,
-    # or alone one slice of a column wider than room
-    digits, digit, used = [], [], 0
-    for col in reversed(cols):
-        lo = int(col.min())
-        width = (int(col.max()) - lo).bit_length()
-        if digit and used + width > room:
-            digits.append(digit)
-            digit, used = [], 0
-        if width > room:
-            digits += [[(col, lo, s, room)] for s in range(0, width, room)]
-        elif width:
-            digit.append((col, lo, 0, width))
-            used += width
-    if digit or not digits:
-        digits.append(digit)
-    shift, low = np.uint64(p), np.uint64((1 << p) - 1)
-    w = np.zeros(n, np.uint64)  # stays 0 when every column is constant
-    order = np.arange(n, dtype=np.intp)  # the positions of the first pass, then the order
-    for t, digit in enumerate(digits):
-        for k, (col, lo, skip, bits) in enumerate(reversed(digit)):  # most significant first
-            if k:
-                w <<= np.uint64(bits)
-                np.add(w, col[order] if t else col, out=w, dtype=np.uint64, casting="unsafe")
-            else:
-                _load(w, col, order if t else None)
-            w -= np.uint64(lo % 2**64)  # the offset from the minimum, modulo 2**64
-            if skip:
-                w >>= np.uint64(skip)
-        w <<= shift  # drops the bits above the digit of a slice
-        pos = np.arange(n, dtype=np.intp) if t else order
-        w |= pos.view(np.uint64)
-        w.sort()
-        if t:
-            np.take(order, np.bitwise_and(w, low, out=w).view(np.intp), out=pos, mode="clip")
-            order = pos
-        else:
-            np.bitwise_and(w, low, out=order.view(np.uint64))
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    if len(digits) == 1:  # each sorted word holds its key above its position
-        w >>= shift
-        np.not_equal(w[1:], w[:-1], out=new[1:])
-    else:
-        new[1:] = False
-        for col in cols:
-            _load(w, col, order)
-            new[1:] |= w[1:] != w[:-1]
-    return order, np.flatnonzero(new)
-
-
-def _load(w: np.ndarray, col: np.ndarray, order: np.ndarray | None) -> None:
-    """w[:] = col, or col[order], as uint64; a 64-bit column is gathered into w directly."""
-    if order is not None and col.dtype.itemsize == 8:
-        np.take(col.view(np.uint64), order, out=w, mode="clip")
-    else:
-        w[...] = col if order is None else col[order]
 
 
 def _aggregate_bins(run: tuple, m: int, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray,
@@ -360,7 +212,8 @@ def _aggregate_bins(run: tuple, m: int, qkeys: np.ndarray, raw: np.ndarray, prod
     last bin. With a lead column the pairs are grouped by (lead, key), so the
     bins of each lead value lie end to end and may repeat a key.
     """
-    order, starts = _lexorder([lead, *qkeys.T] if lead is not None else qkeys.T)
+    order, head = _lexorder([lead, *qkeys.T] if lead is not None else qkeys.T)
+    starts = np.flatnonzero(head)
     keys, sums, reps, mins, maxs = (a[m : m + len(starts)] for a in run)
     if len(starts) == len(order):  # a pair per bin: reduceat would copy each row
         np.take(qkeys, order, axis=0, out=keys, mode="clip")
@@ -386,11 +239,10 @@ def _merge_runs(run: tuple, m: int) -> int:
     Returns k; distinct rows are left as they are.
     """
     keys, sums, reps, mins, maxs = (a[:m] for a in run)
-    order, starts = _lexorder(keys.T)
-    if len(starts) == m:  # distinct already, in order of appearance
+    order, head = _lexorder(keys.T)
+    if head.all():  # distinct already, in order of appearance
         return m
-    head = np.zeros(m, dtype=bool)
-    head[starts] = True
+    starts = np.flatnonzero(head)
     ss = sums[order]
     total = ss[starts]
     np.add.at(total, np.cumsum(head)[~head] - 1, ss[~head])
@@ -496,8 +348,8 @@ def autocorrelation(
     or batch order; only a single kd-tree batch is merged already. The run
     has min(pairs, _BIN_BUDGET + one block) rows, of which only those written
     take memory, and is merged whenever it holds over _BIN_BUDGET. The patch
-    stores only the bins and the diagonal; their mirrors at -q, the exact
-    conjugates, are laid out when its public arrays are first read.
+    stores only the bins and the diagonal; their mirrors at -q are the exact
+    conjugates.
     """
     if box.dim != wps.dim:
         raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")

@@ -6,10 +6,9 @@ offset (a lower bound on the true sup, exact in the minimal case in the limit).
 Subadditive quantities are averaged over randomized Fisher-type domains, and
 linear repetitivity is estimated from maximal recurrence gaps of factors named
 exactly by Karp-Miller-Rosenberg doubling, which also classes observable blocks.
-Factor names are held in the narrowest unsigned type that fits them, so on
-words with few factors (Sturmian words have r + 1 of length r) every sort is
-numpy's vectorized sort of uint32 words, each name packed with its position;
-wider names sort by radix (16 bits) or packed into uint64 words.
+Factor names are held in the narrowest unsigned type that fits them, and each
+sort packs a name with its position into one word (_kernels._lexorder): on
+words with few factors (Sturmian words have r + 1 of length r) a uint32 word.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffraction import _lexorder
+from ._kernels import _lexorder
 from .errors import ValidationError
 from .geometry import Box, FisherFamily, fisher_boxes
 from .randomize import _rng
@@ -269,47 +268,12 @@ def subadditive_limit(
     )
 
 
-def _runs(key: np.ndarray):
-    """(order, head): a stable argsort of the unsigned key, and head[j] true
-    where key[order[j]] starts a run of equal keys in that order.
-
-    When key and position (p = bits(n - 1) low bits) fit in 31 bits together,
-    each key is packed above its position into one uint32 word; the words are
-    distinct, so numpy's vectorized sort of them is the stable sort by key,
-    about twice as fast as the radix argsort of 8- and 16-bit keys. Their low
-    bits give the order and their high bits the runs. Other 8- and 16-bit keys
-    take the radix argsort; wider keys the packed uint64 sort of
-    diffraction._lexorder.
-    """
-    n = len(key)
-    p = max(n - 1, 1).bit_length()
-    if int(key.max(initial=0)).bit_length() + p <= 31:
-        w = key.astype(np.uint32)
-        w <<= np.uint32(p)
-        w |= np.arange(n, dtype=np.uint32)
-        w.sort()
-        order = (w & np.uint32((1 << p) - 1)).view(np.int32)
-        w >>= np.uint32(p)
-    elif key.dtype.itemsize <= 2:
-        order = np.argsort(key, kind="stable")
-        w = key[order]
-    else:
-        order, starts = _lexorder([key])
-        head = np.zeros(n, dtype=bool)
-        head[starts] = True
-        return order, head
-    head = np.empty(n, dtype=bool)
-    head[:1] = True
-    np.not_equal(w[1:], w[:-1], out=head[1:])
-    return order, head
-
-
 def _rank(key: np.ndarray):
     """(rank, first): rank[i] is the number of distinct keys below key[i]
     (np.unique's inverse), stored in the narrowest unsigned type that holds
     the largest rank, and first[c] is the first start of the keys of rank c,
     so there are len(first) classes."""
-    order, head = _runs(key)
+    order, head = _lexorder([key])
     sorted_rank = np.cumsum(head, dtype=np.min_scalar_type(len(key)))
     sorted_rank -= 1
     rank = np.empty(len(key), dtype=np.min_scalar_type(int(sorted_rank[-1])))
@@ -336,11 +300,9 @@ def _factor_classes(word: str, radii):
     For w <= r < 2w a length-r factor is its length-w prefix followed by its
     length-w suffix, so the pair (rank[i], rank[i + r - w]) names it. Only the
     current level is held. Ranks and pair keys are stored in the narrowest
-    unsigned type that holds them (_rank, _pair_key), and _runs sorts them
-    packed with their positions in uint32 words while both fit in 31 bits (on
-    a 2e5-letter word, keys below 2**13); past that, 8- and 16-bit keys sort by
-    radix, and wider ones, the letter codes of a large alphabet among them,
-    take the packed uint64 sort of diffraction._lexorder.
+    unsigned type that holds them (_rank, _pair_key), and _lexorder sorts them
+    packed with their positions in uint32 words while both fit in 32 bits (on
+    a 2e5-letter word, keys below 2**14), in uint64 words past that.
     """
     codes = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
     rank, first = _rank(codes)
@@ -356,10 +318,10 @@ def _max_gap(key: np.ndarray, letters: int, r: int) -> int:
     """Largest gap between consecutive starts of equal length-r factors (equal
     keys), or from a word end to a factor's first or last start.
 
-    One stable sort of the key (_runs), which keeps the starts of equal
+    One stable sort of the key (_lexorder), which keeps the starts of equal
     factors increasing.
     """
-    starts, head = _runs(key)
+    starts, head = _lexorder([key])
     last = np.append(head[1:], True)
     # a step from one factor's last start to the next factor's first start is
     # at most that first start, so it never beats the second term

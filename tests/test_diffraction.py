@@ -44,6 +44,28 @@ def _half_by_key(p):
     return [a[order].tobytes() for a in p._half]
 
 
+def _full_layout(p):
+    """(keys, coeffs, reps, spreads) of the diagonal, every bin and its mirror at -q,
+    in key order: laid out as the diagonal, then each bin and its mirror, and sorted
+    by np.lexsort, so coinciding keys keep that order."""
+    keys, coeffs, reps, spreads = p._half
+    origin = np.zeros((1, p.dim))
+
+    def layout(diag, pos, neg):
+        return np.concatenate([diag, np.stack([pos, neg], axis=1).reshape(-1, *pos.shape[1:])])
+
+    full = layout(origin.astype(np.int64), keys, -keys)
+    order = np.lexsort(full.T[::-1])
+    return (full[order], layout([p._diagonal], coeffs, np.conj(coeffs))[order],
+            layout(origin, reps, -reps)[order], layout(origin, spreads, spreads)[order])
+
+
+def _bins(p):
+    """{quantized difference tuple: coefficient} over the full layout."""
+    keys, coeffs, _, _ = _full_layout(p)
+    return dict(zip(map(tuple, keys.tolist()), coeffs.tolist()))
+
+
 @pytest.fixture(scope="module")
 def z100():
     return lattice_points(1, Box([0.0], [100.0]), 1.0)
@@ -98,7 +120,7 @@ def _fsum_parts(z):
 
 
 def _kernel_parts(z):
-    from quasidiff.diffraction import _exact_sum
+    from quasidiff._kernels import _exact_sum
 
     return _exact_sum(z.real), _exact_sum(z.imag)
 
@@ -161,17 +183,17 @@ class TestExactSum:
         assert _sum_or_error(_kernel_parts, z) == _sum_or_error(_fsum_parts, z)
 
     def test_term_cap_falls_back(self, monkeypatch):
-        from quasidiff import diffraction
+        from quasidiff import _kernels
 
         def no_buckets(*args, **kwargs):
             raise AssertionError("bucketed")
 
-        monkeypatch.setattr(diffraction, "_EXACT_SUM_TERMS", 4)
+        monkeypatch.setattr(_kernels, "_EXACT_SUM_TERMS", 4)
         monkeypatch.setattr(np, "bincount", no_buckets)
         x = np.array([1e16, 1.0, -1e16, 3.0])
-        assert diffraction._exact_sum(x) == math.fsum(x)  # n at the cap: math.fsum
+        assert _kernels._exact_sum(x) == math.fsum(x)  # n at the cap: math.fsum
         with pytest.raises(AssertionError, match="bucketed"):
-            diffraction._exact_sum(x[:3])  # below it: the buckets
+            _kernels._exact_sum(x[:3])  # below it: the buckets
 
 
 class TestPhaseKernel:
@@ -212,8 +234,16 @@ class TestPhaseKernel:
 @st.composite
 def _key_columns(draw):
     """1 to 3 integer key columns of 0, 1 or many rows, drawn from pools of a
-    few values (heavy duplicates) or many, narrow or up to 64 bits wide."""
+    few values (heavy duplicates) or many, narrow or up to 64 bits wide; or one
+    narrow unsigned column whose width and the position bits p = bits(n - 1)
+    add up to 32 or 33, the two sides of the uint32 word."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n, p = draw(st.sampled_from([(3000, 12), (40000, 16)]))
+        width = draw(st.sampled_from([32, 33])) - p
+        pool = rng.integers(0, 2**width, draw(st.sampled_from([5, 10**6])), dtype=np.uint64)
+        pool[:2] = 0, 2**width - 1  # the column is exactly width bits wide
+        return [pool[rng.integers(0, len(pool), n)].astype(np.min_scalar_type(2**width - 1))]
     n = draw(st.sampled_from([0, 1, 2, 3, 17, 300, 5000]))
     cols = []
     for _ in range(draw(st.integers(1, 3))):
@@ -231,33 +261,57 @@ def _key_columns(draw):
 
 class TestLexorder:
     """_lexorder is np.lexsort of the columns (stable, first column most
-    significant) with the starts of the runs of equal rows."""
+    significant) with the mask of the starts of the runs of equal rows; keys
+    that fit in 32 bits with their positions sort as uint32 words, with an
+    int32 order."""
 
-    @given(_key_columns())
-    @settings(max_examples=300, deadline=None)
-    def test_order_and_runs_match_lexsort(self, cols):
-        from quasidiff.diffraction import _lexorder
+    @staticmethod
+    def _check(cols):
+        from quasidiff._kernels import _lexorder
 
-        order, starts = _lexorder(cols)
+        order, head = _lexorder(cols)
         want = np.lexsort(cols[::-1])
-        assert order.dtype == np.intp and order.tobytes() == want.tobytes()
+        assert np.array_equal(order, want)
         rows = [c[want] for c in cols]
         new = np.zeros(len(want), dtype=bool)
         new[:1] = True
         for r in rows:
             new[1:] |= r[1:] != r[:-1]
-        assert starts.tolist() == np.flatnonzero(new).tolist()
+        assert head.dtype == bool and np.array_equal(head, new)
+        if len(want):
+            bits = sum((int(c.max()) - int(c.min())).bit_length() for c in cols)
+            narrow = bits + (len(want) - 1).bit_length() <= 32
+            assert order.dtype == (np.int32 if narrow else np.intp)
+
+    @given(_key_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_order_and_runs_match_lexsort(self, cols):
+        self._check(cols)
+
+    @pytest.mark.parametrize(
+        "dtype, bits, n",
+        [
+            (np.uint8, 8, 3000),  # 8 + 12 bits: uint32 words
+            (np.uint16, 16, 70000),  # 16 + 17 bits: uint64 words
+            (np.uint32, 20, 3000),  # 20 + 12 bits: uint32 words
+        ],
+    )
+    def test_narrow_keys(self, dtype, bits, n):
+        rng = np.random.default_rng(bits)
+        key = rng.integers(0, 2**bits, n, dtype=np.uint64).astype(dtype)
+        key[: n // 2] = key[n // 2 :][: n // 2]  # repeats, so runs have several starts
+        self._check([key])
 
     def test_extreme_columns_take_several_digits(self):
-        from quasidiff.diffraction import _lexorder
+        from quasidiff._kernels import _lexorder
 
         rng = np.random.default_rng(3)
         for dtype, lo, hi in [(np.int64, -2**63, 2**63 - 1), (np.uint64, 0, 2**64 - 1)]:
             cols = [rng.choice(np.array([lo, hi, lo + 1, hi - 1, 0], dtype=dtype), 1000) for _ in range(3)]
-            order, starts = _lexorder(cols)
+            order, head = _lexorder(cols)
             want = np.lexsort(cols[::-1])
             assert order.tobytes() == want.tobytes()
-            assert len(starts) == len({tuple(r) for r in np.stack(cols, 1).tolist()})
+            assert head.sum() == len({tuple(r) for r in np.stack(cols, 1).tolist()})
 
 
 class TestIntensitySequence:
@@ -281,7 +335,7 @@ class TestAutocorrelation:
         n = 50
         wps = lattice_points(1, Box([0.0], [float(n)]), 1.0)
         patch = autocorrelation(wps, Box([0.0], [float(n)]))
-        bins = patch.bins
+        bins = _bins(patch)
         eps = patch.bin_epsilon
         for m in (1, 2, 10):
             q = round(m / eps)
@@ -299,7 +353,7 @@ class TestAutocorrelation:
 
     def test_hermitian_bins(self, fib_patch_mid):
         patch = autocorrelation(fib_patch_mid, Box([0.0], [500.0]))
-        bins = patch.bins
+        bins = _bins(patch)
         for q, c in bins.items():
             mq = tuple(-v for v in q)
             assert mq in bins
@@ -307,14 +361,14 @@ class TestAutocorrelation:
 
     def test_max_radius_truncates(self, fib_patch_mid):
         patch = autocorrelation(fib_patch_mid, Box([0.0], [500.0]), max_radius=10.0)
-        assert np.max(np.abs(patch.reps)) <= 10.0 + patch.bin_epsilon
+        assert np.max(np.abs(_full_layout(patch)[2])) <= 10.0 + patch.bin_epsilon
         assert patch.max_radius == 10.0
 
     def test_diagonal_weight(self):
         wps = WeightedPointSet(1, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         patch = autocorrelation(wps, Box([0.0], [3.0]))
         # sum |w|^2 / vol = (1 + 4 + 9) / 3
-        assert patch.bins[(0,)] == pytest.approx(14.0 / 3.0)
+        assert _bins(patch)[(0,)] == pytest.approx(14.0 / 3.0)
 
     def test_epsilon_must_resolve_separation(self, z100):
         with pytest.raises(ValidationError, match="bin_epsilon"):
@@ -330,9 +384,10 @@ class TestAutocorrelation:
         eps = patch.bin_epsilon
         q1 = round(1.0 / eps)
         # offset (1, 0): 4*5 ordered pairs over volume 25
-        assert patch.bins[(q1, 0)] == pytest.approx(20.0 / 25.0)
-        assert patch.bins[(0, q1)] == pytest.approx(20.0 / 25.0)
-        assert patch.bins[(q1, q1)] == pytest.approx(16.0 / 25.0)
+        bins = _bins(patch)
+        assert bins[(q1, 0)] == pytest.approx(20.0 / 25.0)
+        assert bins[(0, q1)] == pytest.approx(20.0 / 25.0)
+        assert bins[(q1, q1)] == pytest.approx(16.0 / 25.0)
 
     def test_coinciding_bins_keep_first_seen_order(self):
         # (35, 5) nudged below x = 35 sorts before (35, 0), so that pair, at index
@@ -345,10 +400,11 @@ class TestAutocorrelation:
         q = round(5.0 / patch.bin_epsilon)
         half = patch._half[0].tolist()
         assert half.index([0, -q]) < half.index([0, q])
-        rows = np.flatnonzero((patch.keys == [0, q]).all(axis=1))
+        keys, _, reps, _ = _full_layout(patch)
+        rows = np.flatnonzero((keys == [0, q]).all(axis=1))
         assert len(rows) == 2
-        assert patch.reps[rows[0]][0] < 0.0
-        assert patch.reps[rows[1]].tolist() == [0.0, 5.0]
+        assert reps[rows[0]][0] < 0.0
+        assert reps[rows[1]].tolist() == [0.0, 5.0]
 
     @pytest.mark.parametrize("patch", ["lattice", "weighted lattice", "percolated", "cubic"])
     def test_offset_blocks_match_the_dense_reference(self, monkeypatch, patch):
@@ -486,8 +542,8 @@ class TestAutocorrelation:
         for a, b in zip(got._half, want._half):
             assert a.tobytes() == b.tobytes()
         assert got._diagonal == want._diagonal
-        for name in ("keys", "coeffs", "reps", "spreads"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for a, b in zip(_full_layout(got), _full_layout(want)):
+            assert a.tobytes() == b.tobytes()
 
     def test_bin_budget(self, monkeypatch):
         from quasidiff import ResourceLimitError, diffraction
@@ -501,8 +557,8 @@ class TestAutocorrelation:
         distinct = (len(ref) - 1) // 2  # bins at q > 0; the rest mirror them
         monkeypatch.setattr(diffraction, "_BIN_BUDGET", distinct)
         patch = autocorrelation(wps, box)
-        for name in ("keys", "coeffs", "reps", "spreads"):
-            assert getattr(patch, name).tobytes() == getattr(ref, name).tobytes()
+        for a, b in zip(_full_layout(patch), _full_layout(ref)):
+            assert a.tobytes() == b.tobytes()
         monkeypatch.setattr(diffraction, "_BIN_BUDGET", distinct - 1)
         with pytest.raises(ResourceLimitError, match="distinct difference"):
             autocorrelation(wps, box)
@@ -519,8 +575,8 @@ class TestAutocorrelation:
         with pytest.raises(ResourceLimitError, match="within radius"):
             autocorrelation(wps, box, max_radius=1e9)
         patch = autocorrelation(wps, box, max_radius=0.02)
-        for name in ("keys", "coeffs", "reps", "spreads"):
-            assert getattr(patch, name).tobytes() == getattr(ref, name).tobytes()
+        for a, b in zip(_full_layout(patch), _full_layout(ref)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestIntensityFromAutocorr:
@@ -557,13 +613,14 @@ class TestIntensityFromAutocorr:
              "complex": rng.normal(size=len(pts)) + 1j * rng.normal(size=len(pts))}[weights]
         patch = autocorrelation(WeightedPointSet(dim, pts, w), Box([-1.0] * dim, [9.0] * dim))
 
-        # the full arrays are closed under q -> -q with exactly conjugated coefficients
-        bins = [(k, c) for k, c in zip(patch.keys.tolist(), patch.coeffs) if any(k)]
+        # the full layout is closed under q -> -q with exactly conjugated coefficients
+        keys, coeffs, reps, _ = _full_layout(patch)
+        bins = [(k, c) for k, c in zip(keys.tolist(), coeffs) if any(k)]
         assert (sorted((tuple(k), c.tobytes()) for k, c in bins)
                 == sorted((tuple(-v for v in k), np.conj(c).tobytes()) for k, c in bins))
 
         box = None if extent is None else Box([-extent[0]] * dim, [extent[1]] * dim)
-        sel = slice(None) if box is None else box.contains(patch.reps)
+        sel = slice(None) if box is None else box.contains(reps)
         denom = patch.normalizing_volume if box is None else box.volume
         sizes = []
         exact_sum = diffraction._exact_sum
@@ -571,7 +628,7 @@ class TestIntensityFromAutocorr:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(diffraction, "_exact_sum", lambda x: sizes.append(len(x)) or exact_sum(x))
                 got = intensity_from_autocorr(patch, xi, averaging_box=box)
-            z = patch.coeffs[sel] * np.exp(-2j * np.pi * (patch.reps[sel] @ xi))
+            z = coeffs[sel] * np.exp(-2j * np.pi * (reps[sel] @ xi))
             assert got.hex() == (exact_sum(z.real) / denom).hex()
             if box is None:  # one term per +-q pair, and the diagonal
                 assert sizes == [(len(patch) - 1) // 2 + 1]

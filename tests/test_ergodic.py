@@ -16,7 +16,7 @@ from quasidiff import (
     ww_sup_over_frequencies,
     ww_sup_over_offsets,
 )
-from quasidiff.ergodic import _factor_classes, _observable_values, _runs
+from quasidiff.ergodic import _factor_classes, _observable_values
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -315,23 +315,6 @@ class TestFactorKeyWidths:
     """Pair keys are stored in the narrowest unsigned type holding classes**2 - 1;
     the constants must not depend on that width."""
 
-    @pytest.mark.parametrize(
-        "dtype, bits, n",
-        [
-            (np.uint8, 8, 3000),  # 8 + 12 bits: uint32 words
-            (np.uint16, 16, 70000),  # 16 + 17 bits: radix argsort
-            (np.uint32, 20, 3000),  # 20 + 12 bits, 32-bit keys: _lexorder
-        ],
-    )
-    def test_runs_is_the_stable_argsort(self, dtype, bits, n):
-        rng = np.random.default_rng(bits)
-        key = rng.integers(0, 2**bits, n, dtype=np.uint64).astype(dtype)
-        key[: n // 2] = key[n // 2 :][: n // 2]  # repeats, so runs have several starts
-        order, head = _runs(key)
-        want = np.argsort(key, kind="stable")
-        assert np.array_equal(order, want)
-        assert np.array_equal(head, np.r_[True, key[want][1:] != key[want][:-1]])
-
     @pytest.mark.parametrize("letters, bits", [(16, 8), (17, 16), (256, 16), (257, 32)])
     @pytest.mark.parametrize("kind", ["random", "rotation"])
     def test_letter_counts_at_the_width_steps(self, letters, bits, kind):
@@ -365,10 +348,10 @@ class TestFactorKeyWidths:
                 assert len(np.unique(key)) > 2**16
         assert check_linear_repetitivity(word, radii)["constants"] == _int64_constants(word, radii)
 
-    def test_fibonacci_keys_sort_by_radix(self):
+    def test_fibonacci_keys_fit_one_uint32_word(self):
         # on the Fibonacci word r + 1 classes of length-r factors keep every key
-        # within 16 bits, and within the 13 bits that _runs packs with an 18-bit
-        # position into one uint32 word
+        # within 16 bits, and below 2**13, so that _lexorder packs it with an
+        # 18-bit position into one uint32 word
         word = substitution_fixed_point(named_substitution("fibonacci"), 200000)[:200000]
         widths = {r: (key.dtype.itemsize, int(key.max())) for r, key in _factor_classes(word, range(1, 101))}
         assert sorted(widths) == list(range(1, 101))
