@@ -15,6 +15,7 @@ from itertools import chain, product
 
 import numpy as np
 
+from ._kernels import _lexorder
 from .errors import ResourceLimitError, ValidationError
 from .geometry import Box, _vector
 
@@ -404,8 +405,17 @@ def _closest_pair(pts: np.ndarray) -> float:
     keys, or for cell indices to stay within the margin, is coarsened: it finds the
     same pair among more candidates. Once, h is lowered to the least gap between
     neighbours inside a cell, and the grid rebuilt if that halves it (crowded cells,
-    as in tight columns).
+    as in tight columns). The points are scaled by 2**-k, for 2**k the power of two
+    just above the largest coordinate span, and the result by 2**k, so the squares
+    neither underflow nor overflow; where they are normal either way, scaling by a
+    power of two changes no bit. Axes of zero span add nothing and are dropped
+    first, so that no coordinate overflows in the scaling.
     """
+    span = np.ptp(pts, axis=0)
+    if not span.any():
+        return 0.0
+    k = math.frexp(float(span.max()))[1]
+    pts = np.ldexp(pts[:, span > 0], -k)
     n, dim = pts.shape
     lo, span = pts.min(axis=0), np.ptp(pts, axis=0)
     by_x = pts[np.argsort(pts[:, 0], kind="stable")]
@@ -420,16 +430,16 @@ def _closest_pair(pts: np.ndarray) -> float:
         strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
         idx = np.floor((pts - lo) / cell).astype(np.int64)
         key = idx @ strides
-        order = np.argsort(key, kind="stable")
+        order, head = _lexorder([key])
         key, q = key[order], pts[order]
-        same = key[1:] == key[:-1]
+        same = ~head[1:]
         if not same.any():
             break
         inner = _sq_dist(q[1:][same], q[:-1][same]).min()
         if not (regrid and 4 * inner <= h2):
             break
         h2 = inner
-    first = np.flatnonzero(np.r_[True, ~same])
+    first = np.flatnonzero(head)
     count = np.diff(np.append(first, n))
     ukey, ucell = key[first], idx[order[first]]
     # cell pairs: each crowded cell with itself, each cell with its forward neighbours
@@ -457,4 +467,4 @@ def _closest_pair(pts: np.ndarray) -> float:
         keep = i < j  # a cell with itself gives every ordered pair
         if keep.any():
             h2 = min(h2, _sq_dist(q[i[keep]], q[j[keep]]).min())
-    return math.sqrt(h2)
+    return math.ldexp(math.sqrt(h2), k)

@@ -13,6 +13,7 @@ from quasidiff import (
     Substitution,
     ValidationError,
     WeightedPointSet,
+    autocorrelation,
     density,
     lattice_points,
     min_separation,
@@ -287,6 +288,30 @@ class TestMinSeparation:
         assert _min_separation_raw(pts) == want
         if want > 0:  # a patch holds no duplicate point
             assert min_separation(WeightedPointSet(pts.shape[1], pts)) == want
+
+    @given(_layouts(), st.integers(-565, 531))  # scales from 1e-170 to 1e160
+    @settings(max_examples=60, deadline=None)
+    def test_any_scale_matches_brute_force(self, pts, e):
+        # a power-of-two scale is exact, so the brute force on the unscaled points,
+        # scaled, is the separation; without rescaling, squares of differences near
+        # 1e-170 underflow to 0 and near 1e160 overflow
+        with np.errstate(all="raise"):
+            assert _min_separation_raw(np.ldexp(pts, e)) == np.ldexp(_brute_separation(pts), e)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pts, want", [
+        ([[0.0, 0.0], [1e-170, 0.0], [0.0, 3e-170]], 1e-170),
+        ([[0.0, 0.0], [1e160, 0.0], [0.0, 3e160]], 1e160),
+        ([[1e300, 0.0], [1e300, 1e-170], [1e300, 3e-170]], 1e-170),  # an axis of zero span
+    ])
+    def test_extreme_spacing(self, pts, want):
+        assert min_separation(WeightedPointSet(2, pts)) == want
+
+    def test_tiny_spacing_builds_a_patch(self):
+        # the default bin_epsilon is 1e-6 times the separation, which must not read 0
+        wps = WeightedPointSet(2, [[0.0, 0.0], [1e-170, 0.0], [0.0, 3e-170]])
+        patch = autocorrelation(wps, Box([-1.0, -1.0], [1.0, 1.0]))
+        assert patch.bin_epsilon == 1e-6 * 1e-170 and len(patch) == 7
 
     def test_crowded_cell_memory(self):
         # one far point coarsens the grid until the cluster shares a cell: 4e6
