@@ -16,7 +16,8 @@ METRICS = {"t": {"better": "lower", "bound": 0.1}, "q": {"better": "higher", "bo
 def _runs(base, new, bad=()):
     """Synthetic pairs: metric t takes the values, q their negatives; pairs in bad fail on the new side."""
     def side(v, ok):
-        return {"correct": ok, "failed": 0, "metrics": {"t": v, "q": -v}, "import_rss_mib": 40.0 + v}
+        return {"correct": ok, "failed": 0, "metrics": {"t": v, "q": -v}, "import_rss_mib": 40.0 + v,
+                "cpu_s": 2.0 * v, "steal_jiffies": int(10 * v)}
 
     return [{"base": side(b, True), "new": side(n, i not in bad)} for i, (b, n) in enumerate(zip(base, new))]
 
@@ -42,6 +43,47 @@ def test_summary_verdicts(base, new, bad, verdict):
     rss = summary["import_rss_mib"]  # not gated: quartiles only
     assert rss["base"]["median"] == 40.0 + t["base"]["median"]
     assert rss["new"]["median"] == 40.0 + t["new"]["median"]
+    assert summary["cpu_s"]["new"]["median"] == 2.0 * t["new"]["median"]
+    line = bench_pairs._verdicts("w", summary)
+    assert "cpu_s" in line and "steal_jiffies" in line and f"t {verdict}" in line
+
+
+def test_steal_jiffies_unread():
+    runs = _runs([1.0, 1.0], [1.0, 1.0])
+    runs[0]["new"]["steal_jiffies"] = None  # /proc/stat could not be read
+    summary = bench_pairs._summary(runs, METRICS)
+    assert summary["steal_jiffies"]["new"] is None
+    assert summary["steal_jiffies"]["base"]["median"] == 10
+    assert "steal_jiffies unread" in bench_pairs._verdicts("w", summary)
+
+
+_PROC_STAT = """cpu  5651782 0 352476 10214171 38693 0 17979 162441 0 0
+cpu0 4579535 0 289956 3187313 33941 0 16794 115627 0 0
+cpu1 1072247 0 62520 7026858 4752 0 1185 46814 0 0
+intr 912345 0 0
+ctxt 123456789
+btime 1760000000
+"""
+
+
+def test_steal_reads_the_cpu_line(tmp_path):
+    assert bench_pairs._steal(_PROC_STAT) == 162441  # all CPUs, not cpu0's 115627
+    with pytest.raises(ValueError):
+        bench_pairs._steal("intr 1 2 3\n")
+    stat = tmp_path / "stat"
+    stat.write_text(_PROC_STAT)
+    assert bench_pairs._read_steal(stat) == 162441
+    assert bench_pairs._read_steal(tmp_path / "missing") is None
+    stat.write_text("cpu  1 2 3\n")  # a kernel without the steal column
+    assert bench_pairs._read_steal(stat) is None
+
+
+def test_spawn_reports_the_childs_cpu_seconds(tmp_path):
+    busy = bench_pairs._spawn([sys.executable, "-c", "print(sum(range(2 * 10**7)))"], tmp_path)
+    idle = bench_pairs._spawn([sys.executable, "-c", "import sys, time; time.sleep(0.3); sys.exit(3)"], tmp_path)
+    assert busy[:3] == (0, f"{sum(range(2 * 10**7))}\n", "")
+    assert idle[0] == 3
+    assert busy[3] > idle[3] + 0.1
 
 
 def test_summary_counts_failed_operations():

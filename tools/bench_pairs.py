@@ -22,7 +22,11 @@ the process's own ru_maxrss: Linux carries the launching process's peak RSS
 over into a child's ru_maxrss at exec. For the same reason this script reads
 the numpy and scipy versions from package metadata and imports neither, so
 that its own peak stays below a run's. Run it on a quiet machine: the pairs
-are timed one after the other, and other load shows up in them.
+are timed one after the other, and other load shows up in them. To tell that
+load apart, each run also records, ungated, the run's CPU seconds (user plus
+system, from os.wait4) and the host's steal time over the run, in jiffies of
+the `cpu` line of /proc/stat (time a hypervisor gave this machine's virtual
+CPUs to others); both are printed next to the verdicts.
 
 A metric's verdict, with base spread the base runs' q3 - q1:
 
@@ -53,6 +57,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CACHES = Path("/sys/devices/system/cpu/cpu0/cache")
+PROC_STAT = Path("/proc/stat")
 IMPORT_RSS = "import quasidiff.cli; print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
@@ -111,17 +116,49 @@ def _machine(caches: Path = CACHES) -> dict:
     return machine
 
 
+def _steal(stat: str) -> int:
+    """Steal jiffies of all CPUs: the eighth number of the `cpu` line of /proc/stat text."""
+    for line in stat.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "cpu":
+            return int(fields[8])
+    raise ValueError("no cpu line in /proc/stat text")
+
+
+def _read_steal(stat: Path = PROC_STAT) -> int | None:
+    """The host's steal jiffies so far, or None where /proc/stat cannot be read."""
+    try:
+        return _steal(stat.read_text())
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _spawn(argv: list, cwd: Path) -> tuple:
+    """(exit code, stdout, stderr, CPU seconds) of argv run in cwd; the CPU seconds, user
+    plus system, come from the rusage os.wait4 returns for the child."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(argv, cwd=cwd, stdout=out, stderr=err, text=True)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read(), err.read(), usage.ru_utime + usage.ru_stime
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     if seconds is not None:
         argv += ["--seconds", str(seconds)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{workload} seed {seed} failed in {checkout}:\n{proc.stderr[-2000:]}")
+    steal = _read_steal()
+    code, stdout, stderr, cpu_s = _spawn(argv, checkout)
+    after = _read_steal()
+    lines = stdout.strip().splitlines()
+    if code != 0 or not lines:
+        raise SystemExit(f"{workload} seed {seed} failed in {checkout}:\n{stderr[-2000:]}")
     res = json.loads(lines[-1])
     return {"seed": seed, "correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"],
             "metrics": {k: m["value"] for k, m in res["metrics"].items()},
+            "cpu_s": round(cpu_s, 3), "steal_jiffies": None if None in (steal, after) else after - steal,
             "import_rss_mib": _import_rss_mib(checkout)}
 
 
@@ -139,8 +176,8 @@ def _quartiles(xs: list) -> dict:
 
 
 def _summary(runs: list, metrics: dict) -> dict:
-    """Failed runs and import RSS quartiles per side, and per metric the quartiles, wins
-    and verdict of the pairs.
+    """Failed runs, and quartiles of import RSS, CPU seconds and steal jiffies, per side,
+    and per metric the quartiles, wins and verdict of the pairs.
 
     metrics maps each metric's name to its BENCHMARK.json entry (better, bound).
     """
@@ -164,8 +201,25 @@ def _summary(runs: list, metrics: dict) -> dict:
             verdict = "regression"
         out[metric] = {"base": b, "new": n, "change": n["median"] / b["median"] - 1,
                        "wins": wins, "pairs": len(runs), "verdict": verdict}
-    rss = {side: _quartiles([r[side]["import_rss_mib"] for r in runs]) for side in ("base", "new")}
-    return {"failed_runs": bad, "import_rss_mib": rss, "metrics": out}
+    ungated = {key: {side: _quartiles([r[side][key] for r in runs]) for side in ("base", "new")}
+               for key in ("import_rss_mib", "cpu_s")}
+    steal = {side: [r[side]["steal_jiffies"] for r in runs] for side in ("base", "new")}
+    ungated["steal_jiffies"] = {side: _quartiles(v) if None not in v else None for side, v in steal.items()}
+    return {"failed_runs": bad, **ungated, "metrics": out}
+
+
+def _verdicts(workload: str, summary: dict) -> str:
+    """One line: failed runs, the ungated medians of each side, and each metric's verdict."""
+    def medians(key, unit):
+        q = summary[key]
+        if None in q.values():
+            return f"{key} unread"
+        return f"{key} {q['base']['median']:.4g} -> {q['new']['median']:.4g}{unit}"
+
+    return (f"{workload}: failed runs {summary['failed_runs']}; "
+            + "; ".join(medians(k, u) for k, u in (("import_rss_mib", " MiB"), ("cpu_s", " s"),
+                                                     ("steal_jiffies", "")))
+            + "; " + ", ".join(f"{m} {s['verdict']}" for m, s in summary["metrics"].items()))
 
 
 def main(argv=None) -> int:
@@ -207,14 +261,12 @@ def main(argv=None) -> int:
                         pair[side] = _run(here, workload, seed, args.seconds)
                 runs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
-                    f"{m} {pair['base']['metrics'][m]:.4g} -> {pair['new']['metrics'][m]:.4g}" for m in metrics),
+                    f"{m} {pair['base']['metrics'][m]:.4g} -> {pair['new']['metrics'][m]:.4g}" for m in metrics)
+                    + "".join(f", {k} {pair['base'][k]} -> {pair['new'][k]}" for k in ("cpu_s", "steal_jiffies")),
                     file=sys.stderr)
             summary = _summary(runs, metrics)
             record["workloads"][workload] = {"runs": runs, "summary": summary}
-            rss = summary["import_rss_mib"]
-            print(f"{workload}: failed runs {summary['failed_runs']}; import RSS "
-                  f"{rss['base']['median']:.2f} -> {rss['new']['median']:.2f} MiB; " + ", ".join(
-                f"{m} {s['verdict']}" for m, s in summary["metrics"].items()), file=sys.stderr)
+            print(_verdicts(workload, summary), file=sys.stderr)
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
