@@ -1,6 +1,5 @@
-"""Array kernels shared by the estimators: an exactly rounded sum and a stable
-sort of integer keys that marks where each run of equal keys starts.
-"""
+"""Kernels the estimators share: an exactly rounded sum, and a stable sort of
+integer keys that marks where each run of equal keys starts."""
 
 from __future__ import annotations
 
@@ -52,19 +51,18 @@ def _lexorder(cols) -> tuple[np.ndarray, np.ndarray]:
     first: order is np.lexsort(cols[::-1]), the stable lexicographic order of
     the rows, and head[j] is true where a run of equal rows begins at j in it.
 
-    Each column is taken as an offset from its minimum, unless that takes as
-    many bits as the column itself, and the rows are sorted by digits of these
-    values, least significant first (Knuth, TAOCP vol. 3, 5.2.5). A digit packs as many whole columns as fit into the high
+    Each column is taken as an offset from its minimum, and the rows are
+    sorted by digits of these offsets, least significant first (Knuth, TAOCP
+    vol. 3, 5.2.5). A digit packs as many whole columns as fit into the high
     64 - p bits of a uint64, p = bits(n - 1); a wider column is split into
     digits of 64 - p bits. A pass writes digit << p | j for the row at
     position j of the current order into one word buffer. The words are
     distinct, so numpy's unstable vectorized sort of them is the stable sort
-    by digit, and their low p bits give the next order. A single digit that
-    fits in 32 - p bits takes uint32 words, half the memory traffic, and
-    gives an int32 order. After a single pass the runs are read from the
-    sorted words; after more, from the gathered columns. Every scalar mixed
-    into the words has their type, which numpy 1.24's value-based casting
-    would otherwise widen or refuse.
+    by digit, and their low p bits give the next order. One digit of at most
+    32 - p bits takes uint32 words and gives an int32 order. After a single
+    pass the runs are read from the sorted words; after more, from the
+    gathered columns. Scalars mixed into the words have the words' type, as
+    numpy 1.24's value-based casting would widen or refuse others.
     """
     n = len(cols[0])
     if n == 0:
@@ -76,10 +74,8 @@ def _lexorder(cols) -> tuple[np.ndarray, np.ndarray]:
     # or alone one slice of a column wider than room
     digits, digit, used = [], [], 0
     for col in reversed(cols):
-        lo, hi = int(col.min()), int(col.max())
-        if lo > 0 and hi.bit_length() == (hi - lo).bit_length():
-            lo = 0  # an offset that would not narrow the column is not taken
-        width = (hi - lo).bit_length()
+        lo = int(col.min())
+        width = (int(col.max()) - lo).bit_length()
         if digit and used + width > room:
             digits.append(digit)
             digit, used = [], 0
@@ -91,10 +87,9 @@ def _lexorder(cols) -> tuple[np.ndarray, np.ndarray]:
     if digit or not digits:
         digits.append(digit)
     if len(digits) == 1 and used + p <= 32 and p < 32:
-        word, index = np.uint32, np.int32
+        word, index, size = np.uint32, np.int32, 32
     else:
-        word, index = np.uint64, np.intp
-    modulus = 2 ** (8 * np.dtype(word).itemsize)
+        word, index, size = np.uint64, np.intp, 64
     shift, low = word(p), word((1 << p) - 1)
     w = np.empty(n, word) if digits[0] else np.zeros(n, word)  # zeros: every column is constant
     order = np.arange(n, dtype=index)  # the positions of the first pass, then the order
@@ -105,8 +100,7 @@ def _lexorder(cols) -> tuple[np.ndarray, np.ndarray]:
                 np.add(w, col[order] if t else col, out=w, dtype=word, casting="unsafe")
             else:
                 _load(w, col, order if t else None)
-            if lo % modulus:  # the offset from the minimum, modulo the word
-                w -= word(lo % modulus)
+            w -= word(lo % 2**size)  # the offset from the minimum, modulo the word
             if skip:
                 w >>= word(skip)
         w <<= shift  # drops the bits above the digit of a slice

@@ -405,11 +405,9 @@ def _closest_pair(pts: np.ndarray) -> float:
     keys, or for cell indices to stay within the margin, is coarsened: it finds the
     same pair among more candidates. Once, h is lowered to the least gap between
     neighbours inside a cell, and the grid rebuilt if that halves it (crowded cells,
-    as in tight columns). The points are scaled by 2**-k, for 2**k the power of two
-    just above the largest coordinate span, and the result by 2**k, so the squares
-    neither underflow nor overflow; where they are normal either way, scaling by a
-    power of two changes no bit. Axes of zero span add nothing and are dropped
-    first, so that no coordinate overflows in the scaling.
+    as in tight columns). Scaling the points by 2**-k, so that the largest coordinate
+    span is below 1, and the result by 2**k keeps the squares from underflow and
+    overflow; it changes no bit where they are normal. Zero-span axes are dropped.
     """
     span = np.ptp(pts, axis=0)
     if not span.any():

@@ -242,8 +242,9 @@ def _key_columns(draw):
         n, p = draw(st.sampled_from([(3000, 12), (40000, 16)]))
         width = draw(st.sampled_from([32, 33])) - p
         pool = rng.integers(0, 2**width, draw(st.sampled_from([5, 10**6])), dtype=np.uint64)
-        pool[:2] = 0, 2**width - 1  # the column is exactly width bits wide
-        return [pool[rng.integers(0, len(pool), n)].astype(np.min_scalar_type(2**width - 1))]
+        col = pool[rng.integers(0, len(pool), n)]
+        col[rng.permutation(n)[:2]] = 0, 2**width - 1  # exactly width bits wide
+        return [col.astype(np.min_scalar_type(2**width - 1))]
     n = draw(st.sampled_from([0, 1, 2, 3, 17, 300, 5000]))
     cols = []
     for _ in range(draw(st.integers(1, 3))):
