@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, product
 
@@ -382,7 +383,17 @@ def min_separation(wps: WeightedPointSet) -> float:
 def _min_separation_raw(pts: np.ndarray) -> float:
     if pts.shape[1] == 1:
         return float(np.diff(pts[:, 0]).min())
-    return _closest_pair(pts)
+    with np.errstate(under="ignore", over="ignore"):
+        h2 = _closest_pair(pts)
+    if sys.float_info.min <= h2 < math.inf:  # a normal square: no square of the pair under- or overflowed
+        return math.sqrt(h2)
+    # again on the points scaled by 2**-k, 2**k the power of two just above the largest
+    # span, so that no square overflows; zero-span axes, whose coordinates could, are dropped
+    span = np.ptp(pts, axis=0)
+    if not span.any():
+        return 0.0
+    k = math.frexp(float(span.max()))[1]
+    return math.ldexp(math.sqrt(_closest_pair(np.ldexp(pts[:, span > 0], -k))), k)
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -394,10 +405,10 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _closest_pair(pts: np.ndarray) -> float:
-    """Least distance between two of the n >= 2 rows of pts, in any order, in 2D or more.
+    """Least squared distance between two of the n >= 2 rows of pts, in 2D or more.
 
-    Exact: sqrt of the least squared distance, the squares summed in axis order, which
-    is also the float a k-d tree query or a brute-force search returns. The least gap h
+    Exact: the least squared distance, the squares summed in axis order, whose sqrt is
+    also the float a k-d tree query or a brute-force search returns. The least gap h
     between neighbours in a sort along axis 0 is the length of a real pair, so the
     closest pair lies in one cell, or two neighbouring cells, of a grid whose cells are
     a little wider than h; the margin absorbs the rounding of the cell indices. Only
@@ -405,22 +416,16 @@ def _closest_pair(pts: np.ndarray) -> float:
     keys, or for cell indices to stay within the margin, is coarsened: it finds the
     same pair among more candidates. Once, h is lowered to the least gap between
     neighbours inside a cell, and the grid rebuilt if that halves it (crowded cells,
-    as in tight columns). Scaling the points by 2**-k, so that the largest coordinate
-    span is below 1, and the result by 2**k keeps the squares from underflow and
-    overflow; it changes no bit where they are normal. Zero-span axes are dropped.
+    as in tight columns). An h**2 of 0 or inf is returned at once: the caller rescales
+    an inf, which would put every point in one cell.
     """
-    span = np.ptp(pts, axis=0)
-    if not span.any():
-        return 0.0
-    k = math.frexp(float(span.max()))[1]
-    pts = np.ldexp(pts[:, span > 0], -k)
     n, dim = pts.shape
     lo, span = pts.min(axis=0), np.ptp(pts, axis=0)
     by_x = pts[np.argsort(pts[:, 0], kind="stable")]
     h2 = _sq_dist(by_x[1:], by_x[:-1]).min()
     for regrid in (True, False):
-        if h2 == 0:
-            return 0.0
+        if not 0 < h2 < math.inf:
+            return h2
         cell = max(math.sqrt(h2) * (1 + 2.0**-20), span.max() / _GRID_AXIS)
         while math.prod(int(c) for c in np.floor(span / cell) + 1) > 2**62:
             cell *= 2
@@ -465,4 +470,4 @@ def _closest_pair(pts: np.ndarray) -> float:
         keep = i < j  # a cell with itself gives every ordered pair
         if keep.any():
             h2 = min(h2, _sq_dist(q[i[keep]], q[j[keep]]).min())
-    return math.ldexp(math.sqrt(h2), k)
+    return h2

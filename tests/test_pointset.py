@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasidiff import (
@@ -298,11 +298,28 @@ class TestMinSeparation:
         with np.errstate(all="raise"):
             assert _min_separation_raw(np.ldexp(pts, e)) == np.ldexp(_brute_separation(pts), e)
 
+    @given(_layouts(), st.integers(-480, 400), st.integers(0, 600))
+    @settings(max_examples=60, deadline=None)
+    def test_far_point_keeps_the_unscaled_bits(self, pts, e, gap):
+        # one far point stretches the span up to 2**600 times the separation; wherever
+        # the least square of the brute force on the points as given is normal, its
+        # sqrt is the separation
+        pts = np.ldexp(pts, e)
+        pts = np.vstack([pts, pts.max(axis=0) + np.ldexp(1.0, e + gap)])
+        with np.errstate(all="ignore"):
+            want = _brute_separation(pts)
+        assume(want**2 >= sys.float_info.min)
+        with np.errstate(all="raise"):
+            assert _min_separation_raw(pts) == want
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("pts, want", [
         ([[0.0, 0.0], [1e-170, 0.0], [0.0, 3e-170]], 1e-170),
         ([[0.0, 0.0], [1e160, 0.0], [0.0, 3e160]], 1e160),
         ([[1e300, 0.0], [1e300, 1e-170], [1e300, 3e-170]], 1e-170),  # an axis of zero span
+        ([[0.0, 0.0], [1e-100, 0.0], [1e100, 0.0]], 1e-100),  # squares normal as given, not scaled by the span
+        # the pairs of the sort along axis 0 square to normals, the closest pair to 0
+        ([[0.0, 0.0], [2.0**-570, 2.0**-460], [3 * 2.0**-570, 4 * 2.0**-570]], 5 * 2.0**-570),
     ])
     def test_extreme_spacing(self, pts, want):
         assert min_separation(WeightedPointSet(2, pts)) == want
