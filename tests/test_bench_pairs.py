@@ -78,14 +78,6 @@ def test_steal_reads_the_cpu_line(tmp_path):
     assert bench_pairs._read_steal(stat) is None
 
 
-def test_spawn_reports_the_childs_cpu_seconds(tmp_path):
-    busy = bench_pairs._spawn([sys.executable, "-c", "print(sum(range(2 * 10**7)))"], tmp_path)
-    idle = bench_pairs._spawn([sys.executable, "-c", "import sys, time; time.sleep(0.3); sys.exit(3)"], tmp_path)
-    assert busy[:3] == (0, f"{sum(range(2 * 10**7))}\n", "")
-    assert idle[0] == 3
-    assert busy[3] > idle[3] + 0.1
-
-
 def test_summary_counts_failed_operations():
     runs = _runs([1.0, 1.0], [1.0, 1.0])
     runs[0]["base"]["failed"] = 2
@@ -100,6 +92,25 @@ def _checkout(root: Path, cli: str) -> Path:
     (pkg / "__init__.py").write_text("")
     (pkg / "cli.py").write_text(cli)
     return root
+
+
+# a perfbench/run.py that does some work, then prints a result line
+_RUN_PY = """import json, time
+{work}
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {{"run_s": {{"value": 1.0}}}}}}))
+"""
+
+
+def test_run_reports_the_childs_cpu_seconds(tmp_path):
+    # a run that computes reads more CPU seconds than one that sleeps
+    runs = {}
+    for name, work in (("busy", "sum(range(2 * 10**7))"), ("idle", "time.sleep(0.3)")):
+        root = _checkout(tmp_path / name, "")
+        (root / "perfbench").mkdir()
+        (root / "perfbench" / "run.py").write_text(_RUN_PY.format(work=work))
+        runs[name] = bench_pairs._run(root, "w", 1, None)
+    assert runs["busy"]["metrics"] == {"run_s": 1.0} and runs["busy"]["correct"]
+    assert runs["busy"]["cpu_s"] > runs["idle"]["cpu_s"] + 0.1
 
 
 def test_import_rss_reads_the_checkouts_cli(tmp_path):

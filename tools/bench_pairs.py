@@ -24,9 +24,10 @@ the numpy and scipy versions from package metadata and imports neither, so
 that its own peak stays below a run's. Run it on a quiet machine: the pairs
 are timed one after the other, and other load shows up in them. To tell that
 load apart, each run also records, ungated, the run's CPU seconds (user plus
-system, from os.wait4) and the host's steal time over the run, in jiffies of
-the `cpu` line of /proc/stat (time a hypervisor gave this machine's virtual
-CPUs to others); both are printed next to the verdicts.
+system, the growth of this script's RUSAGE_CHILDREN over the run) and the
+host's steal time over the run, in jiffies of the `cpu` line of /proc/stat
+(time a hypervisor gave this machine's virtual CPUs to others); both are
+printed next to the verdicts.
 
 A metric's verdict, with base spread the base runs' q3 - q1:
 
@@ -45,6 +46,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -133,28 +135,22 @@ def _read_steal(stat: Path = PROC_STAT) -> int | None:
         return None
 
 
-def _spawn(argv: list, cwd: Path) -> tuple:
-    """(exit code, stdout, stderr, CPU seconds) of argv run in cwd; the CPU seconds, user
-    plus system, come from the rusage os.wait4 returns for the child."""
-    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
-        proc = subprocess.Popen(argv, cwd=cwd, stdout=out, stderr=err, text=True)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        err.seek(0)
-        return proc.returncode, out.read(), err.read(), usage.ru_utime + usage.ru_stime
+def _child_cpu_s() -> float:
+    """User plus system CPU seconds of this process's waited-for children so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     if seconds is not None:
         argv += ["--seconds", str(seconds)]
-    steal = _read_steal()
-    code, stdout, stderr, cpu_s = _spawn(argv, checkout)
-    after = _read_steal()
-    lines = stdout.strip().splitlines()
-    if code != 0 or not lines:
-        raise SystemExit(f"{workload} seed {seed} failed in {checkout}:\n{stderr[-2000:]}")
+    steal, cpu_s = _read_steal(), _child_cpu_s()
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    after, cpu_s = _read_steal(), _child_cpu_s() - cpu_s
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{workload} seed {seed} failed in {checkout}:\n{proc.stderr[-2000:]}")
     res = json.loads(lines[-1])
     return {"seed": seed, "correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"],
             "metrics": {k: m["value"] for k, m in res["metrics"].items()},
