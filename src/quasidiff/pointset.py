@@ -385,7 +385,7 @@ def _min_separation_raw(pts: np.ndarray) -> float:
         return float(np.diff(pts[:, 0]).min())
     with np.errstate(under="ignore", over="ignore"):
         h2 = _closest_pair(pts)
-    if sys.float_info.min <= h2 < math.inf:  # a normal square: no square of the pair under- or overflowed
+    if sys.float_info.min <= h2 < math.inf:  # the least square neither under- nor overflowed
         return math.sqrt(h2)
     # again on the points scaled by 2**-k, 2**k the power of two just above the largest
     # span, so that no square overflows; zero-span axes, whose coordinates could, are dropped
