@@ -12,6 +12,7 @@ error, 3 resource cap exceeded, 4 numerical diagnostic failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -108,7 +109,8 @@ def _envelope(args: argparse.Namespace, input_path: str | None) -> dict:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        with _invalid(f"cannot write output {output}"):
+            Path(output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -508,7 +510,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared by all later ones.
+
+    Sharing is safe because parsing keeps its state in the Namespace that each
+    parse_args call makes: no action has a mutable default (there is no append
+    action), set_defaults values are functions or None, and argparse (3.10 and
+    later) copies a subparser's defaults into that Namespace without writing to
+    the tree. Two values are fixed at the first call: the cmd_* function of each
+    subcommand and the --version string, so patching cli.cmd_* or
+    cli.__version__ later does not reach them (the envelope reads __version__
+    at each call).
+    """
     parser = argparse.ArgumentParser(
         prog="quasidiff",
         description="Aperiodic point sets and their diffraction spectra.",

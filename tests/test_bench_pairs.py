@@ -17,7 +17,7 @@ def _runs(base, new, bad=()):
     """Synthetic pairs: metric t takes the values, q their negatives; pairs in bad fail on the new side."""
     def side(v, ok):
         return {"correct": ok, "failed": 0, "metrics": {"t": v, "q": -v}, "import_rss_mib": 40.0 + v,
-                "cpu_s": 2.0 * v, "steal_jiffies": int(10 * v)}
+                "cpu_s": 2.0 * v, "steal_jiffies": int(10 * v), "other_cpu_s": 3.0 * v}
 
     return [{"base": side(b, True), "new": side(n, i not in bad)} for i, (b, n) in enumerate(zip(base, new))]
 
@@ -44,17 +44,19 @@ def test_summary_verdicts(base, new, bad, verdict):
     assert rss["base"]["median"] == 40.0 + t["base"]["median"]
     assert rss["new"]["median"] == 40.0 + t["new"]["median"]
     assert summary["cpu_s"]["new"]["median"] == 2.0 * t["new"]["median"]
+    assert summary["other_cpu_s"]["base"]["median"] == pytest.approx(3.0 * t["base"]["median"])
     line = bench_pairs._verdicts("w", summary)
-    assert "cpu_s" in line and "steal_jiffies" in line and f"t {verdict}" in line
+    assert all(key in line for key in bench_pairs.UNGATED) and f"t {verdict}" in line
 
 
 def test_steal_jiffies_unread():
     runs = _runs([1.0, 1.0], [1.0, 1.0])
-    runs[0]["new"]["steal_jiffies"] = None  # /proc/stat could not be read
+    runs[0]["new"].update(bench_pairs._host_load(None, (1, 2), 0.5))  # /proc/stat could not be read
     summary = bench_pairs._summary(runs, METRICS)
-    assert summary["steal_jiffies"]["new"] is None
+    assert summary["steal_jiffies"]["new"] is None and summary["other_cpu_s"]["new"] is None
     assert summary["steal_jiffies"]["base"]["median"] == 10
-    assert "steal_jiffies unread" in bench_pairs._verdicts("w", summary)
+    line = bench_pairs._verdicts("w", summary)
+    assert "steal_jiffies unread" in line and "other_cpu_s unread" in line
 
 
 _PROC_STAT = """cpu  5651782 0 352476 10214171 38693 0 17979 162441 0 0
@@ -66,16 +68,34 @@ btime 1760000000
 """
 
 
+# the same host 20 s later: all CPUs 1500 jiffies busier (user 1200, nice 0, system 250,
+# irq 0, softirq 50; idle and iowait do not count), 60 jiffies more steal
+_PROC_STAT_LATER = """cpu  5652982 0 352726 10216000 38800 0 18029 162501 0 0
+cpu0 4580135 0 290081 3188000 34000 0 16819 115657 0 0
+cpu1 1072847 0 62645 7028000 4800 0 1210 46844 0 0
+intr 998765 0 0
+"""
+
+
 def test_steal_reads_the_cpu_line(tmp_path):
-    assert bench_pairs._steal(_PROC_STAT) == 162441  # all CPUs, not cpu0's 115627
+    busy = 5651782 + 0 + 352476 + 0 + 17979  # all CPUs, not cpu0's
+    assert bench_pairs._cpu_jiffies(_PROC_STAT) == (busy, 162441)
     with pytest.raises(ValueError):
-        bench_pairs._steal("intr 1 2 3\n")
+        bench_pairs._cpu_jiffies("intr 1 2 3\n")
     stat = tmp_path / "stat"
     stat.write_text(_PROC_STAT)
-    assert bench_pairs._read_steal(stat) == 162441
-    assert bench_pairs._read_steal(tmp_path / "missing") is None
+    assert bench_pairs._read_cpu_jiffies(stat) == (busy, 162441)
+    assert bench_pairs._read_cpu_jiffies(tmp_path / "missing") is None
     stat.write_text("cpu  1 2 3\n")  # a kernel without the steal column
-    assert bench_pairs._read_steal(stat) is None
+    assert bench_pairs._read_cpu_jiffies(stat) is None
+
+
+def test_other_cpu_seconds_between_two_stat_texts(monkeypatch):
+    monkeypatch.setattr(bench_pairs.os, "sysconf", {"SC_CLK_TCK": 100}.__getitem__)
+    before, after = (bench_pairs._cpu_jiffies(text) for text in (_PROC_STAT, _PROC_STAT_LATER))
+    # 15 busy seconds over the run, 12.25 of them the run's own
+    assert bench_pairs._host_load(before, after, 12.25) == {"steal_jiffies": 60, "other_cpu_s": 2.75}
+    assert bench_pairs._host_load(before, None, 12.25) == {"steal_jiffies": None, "other_cpu_s": None}
 
 
 def test_summary_counts_failed_operations():
@@ -111,6 +131,7 @@ def test_run_reports_the_childs_cpu_seconds(tmp_path):
         runs[name] = bench_pairs._run(root, "w", 1, None)
     assert runs["busy"]["metrics"] == {"run_s": 1.0} and runs["busy"]["correct"]
     assert runs["busy"]["cpu_s"] > runs["idle"]["cpu_s"] + 0.1
+    assert all(isinstance(run["other_cpu_s"], float) for run in runs.values())
 
 
 def test_import_rss_reads_the_checkouts_cli(tmp_path):

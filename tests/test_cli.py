@@ -584,6 +584,15 @@ class TestErrors:
             cli._emit_json({}, args)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, detail", [("missing/out.json", "No such file or directory"),
+                                              ("", "Is a directory")], ids=["missing-dir", "directory"])
+    def test_unwritable_output_exit_code(self, name, detail, tmp_path, capsys):
+        out = tmp_path / name
+        assert run("gen", "lattice", "--box", "0,10", "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output {out}: ") and detail in err
+        assert "Traceback" not in err
+
     def test_vanhove_cube_cap_exit_code(self, lattice_file, monkeypatch, capsys):
         from quasidiff import cli
 
@@ -791,3 +800,47 @@ class TestPinnedBytes:
             text = data.decode()
             end = "" if name == "weighted.json" else "\n"  # dump writes no final newline; the CLI does
             assert text == json.dumps(json.loads(text), sort_keys=True, indent=1, allow_nan=False) + end, name
+
+
+# calls that exit early: a usage error, a validation error, a resource cap, --version and
+# a subcommand's --help
+_EARLY_EXITS = [
+    ("diffract", "scan", "--input", "lattice1d.json", "--box", "0,10", "--xi", "0", "--estimator", "fft"),
+    ("gen", "lattice", "--box", "0,x"),
+    ("gen", "model-set", "--scheme", "fibonacci", "--box", "0,100000", "--cap", "10"),
+    ("--version",),
+    ("perturb", "displace", "--help"),
+]
+
+
+class TestSharedParser:
+    def test_calls_read_as_with_a_fresh_parser(self, tmp_path, monkeypatch):
+        # main builds its parser once per process: every call must give what it gives
+        # right after the parser is rebuilt, and no call may build another one
+        from quasidiff import cli
+
+        monkeypatch.chdir(tmp_path)
+        with open("weighted.json", "w") as fh:
+            _weighted_patch().dump(fh)
+        pinned = [(*argv, "--output", name) for name, argv in _PINNED_COMMANDS]
+
+        def call(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(list(argv))
+            data = (tmp_path / argv[-1]).read_bytes() if "--output" in argv else None
+            return code, out.getvalue(), err.getvalue(), data
+
+        fresh = {}
+        for argv in pinned + _EARLY_EXITS:  # lattice1d.json is written before subadditive reads it
+            cli._build_parser.cache_clear()
+            fresh[argv] = call(argv)
+        assert [fresh[argv][0] for argv in _EARLY_EXITS] == [2, 2, 3, 0, 0]
+        assert all(fresh[argv][0] == 0 for argv in pinned)
+        sequence = []
+        for i, argv in enumerate(pinned + pinned[::-1]):
+            sequence += [argv, _EARLY_EXITS[i % len(_EARLY_EXITS)]]
+        cli._build_parser.cache_clear()
+        for argv in sequence:
+            assert call(argv) == fresh[argv], argv
+        assert cli._build_parser.cache_info().misses == 1

@@ -24,10 +24,14 @@ the numpy and scipy versions from package metadata and imports neither, so
 that its own peak stays below a run's. Run it on a quiet machine: the pairs
 are timed one after the other, and other load shows up in them. To tell that
 load apart, each run also records, ungated, the run's CPU seconds (user plus
-system, the growth of this script's RUSAGE_CHILDREN over the run) and the
+system, the growth of this script's RUSAGE_CHILDREN over the run), the
 host's steal time over the run, in jiffies of the `cpu` line of /proc/stat
-(time a hypervisor gave this machine's virtual CPUs to others); both are
-printed next to the verdicts.
+(time a hypervisor gave this machine's virtual CPUs to others), and the CPU
+seconds of other processes over the run: the growth of that line's busy
+jiffies (user, nice, system, irq and softirq) over SC_CLK_TCK, less the
+run's own CPU seconds. /proc/stat counts whole ticks of each CPU, so that
+reading is good to about a tick per CPU and can dip just below 0. All three
+are printed next to the verdicts.
 
 A metric's verdict, with base spread the base runs' q3 - q1:
 
@@ -61,6 +65,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CACHES = Path("/sys/devices/system/cpu/cpu0/cache")
 PROC_STAT = Path("/proc/stat")
 IMPORT_RSS = "import quasidiff.cli; print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+# readings recorded per run but not gated, with the unit they are printed in
+UNGATED = {"import_rss_mib": " MiB", "cpu_s": " s", "steal_jiffies": "", "other_cpu_s": " s"}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -118,21 +124,33 @@ def _machine(caches: Path = CACHES) -> dict:
     return machine
 
 
-def _steal(stat: str) -> int:
-    """Steal jiffies of all CPUs: the eighth number of the `cpu` line of /proc/stat text."""
+def _cpu_jiffies(stat: str) -> tuple[int, int]:
+    """Busy and steal jiffies of all CPUs from /proc/stat text: the sum of the `cpu`
+    line's user, nice, system, irq and softirq columns, and its steal column."""
     for line in stat.splitlines():
         fields = line.split()
         if fields and fields[0] == "cpu":
-            return int(fields[8])
+            user, nice, system, _idle, _iowait, irq, softirq, steal = map(int, fields[1:9])
+            return user + nice + system + irq + softirq, steal
     raise ValueError("no cpu line in /proc/stat text")
 
 
-def _read_steal(stat: Path = PROC_STAT) -> int | None:
-    """The host's steal jiffies so far, or None where /proc/stat cannot be read."""
+def _read_cpu_jiffies(stat: Path = PROC_STAT) -> tuple[int, int] | None:
+    """The host's busy and steal jiffies so far, or None where /proc/stat cannot be read."""
     try:
-        return _steal(stat.read_text())
-    except (OSError, ValueError, IndexError):
+        return _cpu_jiffies(stat.read_text())
+    except (OSError, ValueError):
         return None
+
+
+def _host_load(before: tuple | None, after: tuple | None, cpu_s: float) -> dict:
+    """Steal jiffies and other processes' CPU seconds between two readings of
+    _read_cpu_jiffies around a run whose own CPU seconds are cpu_s; None where either
+    reading is missing."""
+    if before is None or after is None:
+        return {"steal_jiffies": None, "other_cpu_s": None}
+    busy, steal = (a - b for a, b in zip(after, before))
+    return {"steal_jiffies": steal, "other_cpu_s": round(busy / os.sysconf("SC_CLK_TCK") - cpu_s, 3)}
 
 
 def _child_cpu_s() -> float:
@@ -145,16 +163,16 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float | None) -> dic
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     if seconds is not None:
         argv += ["--seconds", str(seconds)]
-    steal, cpu_s = _read_steal(), _child_cpu_s()
+    jiffies, cpu_s = _read_cpu_jiffies(), _child_cpu_s()
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    after, cpu_s = _read_steal(), _child_cpu_s() - cpu_s
+    after, cpu_s = _read_cpu_jiffies(), _child_cpu_s() - cpu_s
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{workload} seed {seed} failed in {checkout}:\n{proc.stderr[-2000:]}")
     res = json.loads(lines[-1])
     return {"seed": seed, "correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"],
             "metrics": {k: m["value"] for k, m in res["metrics"].items()},
-            "cpu_s": round(cpu_s, 3), "steal_jiffies": None if None in (steal, after) else after - steal,
+            "cpu_s": round(cpu_s, 3), **_host_load(jiffies, after, cpu_s),
             "import_rss_mib": _import_rss_mib(checkout)}
 
 
@@ -172,8 +190,8 @@ def _quartiles(xs: list) -> dict:
 
 
 def _summary(runs: list, metrics: dict) -> dict:
-    """Failed runs, and quartiles of import RSS, CPU seconds and steal jiffies, per side,
-    and per metric the quartiles, wins and verdict of the pairs.
+    """Failed runs, and the quartiles of each ungated reading (None where a run has none)
+    per side, and per metric the quartiles, wins and verdict of the pairs.
 
     metrics maps each metric's name to its BENCHMARK.json entry (better, bound).
     """
@@ -197,10 +215,10 @@ def _summary(runs: list, metrics: dict) -> dict:
             verdict = "regression"
         out[metric] = {"base": b, "new": n, "change": n["median"] / b["median"] - 1,
                        "wins": wins, "pairs": len(runs), "verdict": verdict}
-    ungated = {key: {side: _quartiles([r[side][key] for r in runs]) for side in ("base", "new")}
-               for key in ("import_rss_mib", "cpu_s")}
-    steal = {side: [r[side]["steal_jiffies"] for r in runs] for side in ("base", "new")}
-    ungated["steal_jiffies"] = {side: _quartiles(v) if None not in v else None for side, v in steal.items()}
+    ungated = {}
+    for key in UNGATED:
+        values = {side: [r[side][key] for r in runs] for side in ("base", "new")}
+        ungated[key] = {side: None if None in v else _quartiles(v) for side, v in values.items()}
     return {"failed_runs": bad, **ungated, "metrics": out}
 
 
@@ -213,8 +231,7 @@ def _verdicts(workload: str, summary: dict) -> str:
         return f"{key} {q['base']['median']:.4g} -> {q['new']['median']:.4g}{unit}"
 
     return (f"{workload}: failed runs {summary['failed_runs']}; "
-            + "; ".join(medians(k, u) for k, u in (("import_rss_mib", " MiB"), ("cpu_s", " s"),
-                                                     ("steal_jiffies", "")))
+            + "; ".join(medians(k, u) for k, u in UNGATED.items())
             + "; " + ", ".join(f"{m} {s['verdict']}" for m, s in summary["metrics"].items()))
 
 
@@ -258,7 +275,8 @@ def main(argv=None) -> int:
                 runs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{m} {pair['base']['metrics'][m]:.4g} -> {pair['new']['metrics'][m]:.4g}" for m in metrics)
-                    + "".join(f", {k} {pair['base'][k]} -> {pair['new'][k]}" for k in ("cpu_s", "steal_jiffies")),
+                    + "".join(f", {k} {pair['base'][k]} -> {pair['new'][k]}"
+                              for k in ("cpu_s", "steal_jiffies", "other_cpu_s")),
                     file=sys.stderr)
             summary = _summary(runs, metrics)
             record["workloads"][workload] = {"runs": runs, "summary": summary}
