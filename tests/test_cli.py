@@ -825,11 +825,13 @@ class TestSharedParser:
         pinned = [(*argv, "--output", name) for name, argv in _PINNED_COMMANDS]
 
         def call(argv):
+            output = tmp_path / argv[-1] if "--output" in argv else None
+            if output:  # no call reads its own output
+                output.unlink(missing_ok=True)
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(list(argv))
-            data = (tmp_path / argv[-1]).read_bytes() if "--output" in argv else None
-            return code, out.getvalue(), err.getvalue(), data
+            return code, out.getvalue(), err.getvalue(), output and output.read_bytes()
 
         fresh = {}
         for argv in pinned + _EARLY_EXITS:  # lattice1d.json is written before subadditive reads it
