@@ -55,7 +55,9 @@ from .geometry import Box, VanHoveCubes, _vector, cube_sequence
 from .pointset import (
     Substitution,
     WeightedPointSet,
-    _json_text,
+    _json_parts,
+    _read_json,
+    _write_parts,
     named_substitution,
     substitution_fixed_point,
     word_to_pointset,
@@ -107,20 +109,21 @@ def _envelope(args: argparse.Namespace, input_path: str | None) -> dict:
     }
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(parts: list, output: str | None) -> None:
+    """Write parts, strings and string iterators as _json_parts returns them, to output or stdout."""
     if output:
-        with _invalid(f"cannot write output {output}"):
-            Path(output).write_text(text)
+        with _invalid(f"cannot write output {output}"), Path(output).open("w") as fh:
+            _write_parts(parts, fh)
     else:
-        sys.stdout.write(text)
+        _write_parts(parts, sys.stdout)
 
 
 def _emit_json(payload: dict, args: argparse.Namespace, input_path: str | None = None) -> None:
     obj = dict(_envelope(args, input_path))
     obj.update(payload)
     with _invalid("output has a non-finite number"):
-        text = _json_text(obj)
-    _emit(text + "\n", args.output)
+        parts = _json_parts(obj)
+    _emit(parts + ["\n"], args.output)
 
 
 def _csv_envelope(args: argparse.Namespace, input_path: str | None) -> dict:
@@ -138,7 +141,7 @@ def _emit_csv(args: argparse.Namespace, input_path: str | None, head: list, rows
     lines = [f"# {k}={env[k]}" for k in sorted(env)]
     lines.append(",".join(head))
     lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
 
 
 @contextmanager
@@ -274,9 +277,9 @@ def _load_scheme(text: str):
 
 
 def _load_pointset(path: str) -> WeightedPointSet:
-    with _invalid(f"point-set file {path}"):
-        obj = json.loads(Path(path).read_text())
-        return WeightedPointSet.from_json(obj.get("pointset", obj) if isinstance(obj, dict) else obj)
+    what = f"point-set file {path}"
+    with _invalid(what), Path(path).open("rb") as fh:
+        return _read_json(fh, what)
 
 
 def _write_pointset(wps: WeightedPointSet, args: argparse.Namespace, input_path: str | None = None) -> None:
@@ -376,7 +379,7 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         sp = scan_spectrum(wps, box, _parse_grid(args.xi), estimator=args.estimator, threads=args.threads)
         buf = io.StringIO()
         spectrum_to_csv(sp, buf, _csv_envelope(args, args.input))
-        _emit(buf.getvalue(), args.output)
+        _emit([buf.getvalue()], args.output)
     elif args.subcommand == "peak":
         xi = np.array(_parse_vector(args.xi))
         with _invalid(f"--vanhove takes side0,growth,count, got {args.vanhove!r}"):
@@ -400,7 +403,7 @@ def cmd_diffract(args: argparse.Namespace) -> int:
                                          (vals[k],), float(gap), converged, cube.volume, counts[k]))
         buf = io.StringIO()
         spectrum_to_csv(Spectrum(tuple(entries)), buf, _csv_envelope(args, args.input))
-        _emit(buf.getvalue(), args.output)
+        _emit([buf.getvalue()], args.output)
     else:  # peaks
         box = _parse_box(args.box)
         sp, per_scale = _scan(wps, box, _parse_grid(args.xi), args.estimator, args.threads)

@@ -8,8 +8,10 @@ byte-level diffing are reproducible.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, product
@@ -28,6 +30,19 @@ _PAIR_BLOCK = 2**15
 # most cells along one axis of _closest_pair's grid, so that a cell index carries a
 # rounding error below 2**-22 of a cell, well inside the cell's 2**-20 margin
 _GRID_AXIS = 2**29
+# rows of a point array _json_parts formats at once: about 0.5 MiB of Python floats and
+# strings in 1D
+_ROW_BLOCK = 4096
+# most bytes of rows _float_rows parses at once
+_READ_CHUNK = 2**16
+# number characters as "0", for _float_rows' row check; brackets as spaces, for its parse
+_CELLS = bytes.maketrans(b"0123456789+-.eE", b"0" * 15)
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+# the "]" closing an array's last row, then the array's "]"; the "," between two rows
+_ARRAY_END = re.compile(rb"\][ \t\n\r]*\]")
+_ROW_SEP = re.compile(rb"[ \t\n\r]*,")
+# stands in for the points array while _parse_rows reads the rest of a text
+_HOLE = object()
 
 
 @dataclass(frozen=True)
@@ -66,9 +81,7 @@ class WeightedPointSet:
         if not np.all(np.isfinite(pts)):
             raise ValidationError("points contain non-finite coordinates")
         w = self.weights
-        if w is None:
-            w = np.ones(len(pts), dtype=complex)
-        else:
+        if w is not None:
             w = np.asarray(w, dtype=complex)
             if w.shape != (len(pts),):
                 raise ValidationError(
@@ -79,7 +92,7 @@ class WeightedPointSet:
         # canonical order: lexicographic by x1, then x2, ...
         order = np.lexsort(pts.T[::-1])
         pts = pts[order]
-        w = w[order]
+        w = np.ones(len(pts), dtype=complex) if w is None else w[order]
         if len(pts) > 1:
             dup = np.all(pts[1:] == pts[:-1], axis=1)
             if np.any(dup):
@@ -135,33 +148,153 @@ class WeightedPointSet:
         return cls(dim, pts, w, dict(meta))
 
     def dump(self, fp) -> None:
-        fp.write(_json_text(self._record()))
+        _write_parts(_json_parts(self._record()), fp)
 
     @classmethod
     def load(cls, fp) -> "WeightedPointSet":
-        return cls.from_json(json.load(fp))
+        """The point set in the JSON text of fp (text or binary), bare or under "pointset"."""
+        return _read_json(fp, "point-set JSON")
 
 
-def _json_text(v, nl: str = "\n") -> str:
-    """json.dumps(v, sort_keys=True, indent=1, allow_nan=False), with each (n, d) float
-    ndarray joined from float.__repr__ of its numbers (json's format). Values other than
-    dicts with str keys and arrays go through json.dumps, re-indented (JSON strings hold
-    no raw newline)."""
+def _json_parts(v, nl: str = "\n") -> list:
+    """json.dumps(v, sort_keys=True, indent=1, allow_nan=False) as a list of strings and
+    lazy iterators of strings, to be written in order by _write_parts. Each (n, d) float
+    ndarray is an iterator that joins float.__repr__ of its numbers (json's format)
+    _ROW_BLOCK rows at a time. Values other than dicts with str keys and arrays go through
+    json.dumps, re-indented (JSON strings hold no raw newline). Every check runs before
+    the list is returned: a non-finite array or value raises ValueError, and writing the
+    parts cannot fail on a value."""
     deeper = nl + " "
     if isinstance(v, np.ndarray):
         if not np.isfinite(v).all():
             raise ValueError("Out of range float values are not JSON compliant")
         if v.size == 0:
-            return "[]"
-        cells = map(float.__repr__, v.ravel().tolist())
-        if v.shape[1] > 1:
-            cells = map(f",{deeper} ".join, zip(*[cells] * v.shape[1]))
-        rows = f"{deeper}],{deeper}[{deeper} ".join(cells)
-        return f"[{deeper}[{deeper} {rows}{deeper}]{nl}]"
+            return ["[]"]
+        return [f"[{deeper}[{deeper} ", _json_rows(v, deeper), f"{deeper}]{nl}]"]
     if isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
-        items = ",".join(f"{deeper}{json.dumps(k)}: {_json_text(v[k], deeper)}" for k in sorted(v))
-        return f"{{{items}{nl}}}"
-    return json.dumps(v, sort_keys=True, indent=1, allow_nan=False).replace("\n", nl)
+        parts = []
+        for i, k in enumerate(sorted(v)):
+            parts.append(f"{',' if i else '{'}{deeper}{json.dumps(k)}: ")
+            parts += _json_parts(v[k], deeper)
+        return parts + [f"{nl}}}"]
+    return [json.dumps(v, sort_keys=True, indent=1, allow_nan=False).replace("\n", nl)]
+
+
+def _json_rows(v: np.ndarray, deeper: str):
+    """The rows of v, from the first row's first number to the last row's last, in
+    blocks of _ROW_BLOCK rows; deeper is the indent of the rows' brackets."""
+    cell_sep, row_sep = f",{deeper} ", f"{deeper}],{deeper}[{deeper} "
+    for i in range(0, len(v), _ROW_BLOCK):
+        cells = map(float.__repr__, v[i:i + _ROW_BLOCK].ravel().tolist())
+        if v.shape[1] > 1:
+            cells = map(cell_sep.join, zip(*[cells] * v.shape[1]))
+        if i:
+            yield row_sep
+        yield row_sep.join(cells)
+
+
+def _write_parts(parts: list, fp) -> None:
+    """Write the strings and string iterators of _json_parts to the text file fp."""
+    for part in parts:
+        if isinstance(part, str):
+            fp.write(part)
+        else:
+            fp.writelines(part)
+
+
+def _read_json(fp, what: str) -> WeightedPointSet:
+    """The point set in the JSON text of the text or binary file fp, bare or under the
+    key "pointset". A text that is not JSON raises ValidationError(f"{what}: ...").
+
+    _parse_rows reads the text when it can; otherwise json.loads reads it, the text of a
+    binary file decoded as a text-mode open() decodes it. The two give the same point
+    set, or the same error, from every text (tests/test_pointset.py::TestReader)."""
+    data = fp.read()
+    obj = _parse_rows(data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data)
+    if obj is None:
+        try:
+            obj = json.loads(data if isinstance(data, str) else io.TextIOWrapper(io.BytesIO(data)).read())
+        except ValueError as exc:
+            raise ValidationError(f"{what}: {exc}") from exc
+    del data  # not held while the point set is sorted
+    return WeightedPointSet.from_json(obj.get("pointset", obj) if isinstance(obj, dict) else obj)
+
+
+def _parse_rows(data: bytes):
+    """json.loads(data), with its last "points" array read _READ_CHUNK bytes of whole rows
+    at a time into an (n, d) float array, so that only one chunk's numbers are ever Python
+    floats and no row is a list; None unless data is ASCII, that array is n >= 1 rows of
+    d >= 1 float (not integer) tokens, and the rest of data, with the constant NaN in place
+    of the array, is JSON holding no other NaN or Infinity and holds that NaN at "points"
+    of the object json.loads(data) gives or of its "pointset" (the key whose value
+    json.loads keeps)."""
+    key = data.rfind(b'"points": [')
+    if key < 0:
+        return None
+    start = key + len(b'"points": ')
+    got = _float_rows(data, start)
+    if got is None:
+        return None
+    rows, stop = got
+    rest = data[:start] + b"NaN" + data[stop:]
+    if not rest.isascii():
+        return None
+    constants = []
+    try:
+        obj = json.loads(rest.decode("ascii"), parse_constant=lambda name: constants.append(name) or _HOLE)
+    except ValueError:
+        return None
+    rec = obj.get("pointset", obj) if isinstance(obj, dict) else None
+    if len(constants) != 1 or not isinstance(rec, dict) or rec.get("points") is not _HOLE:
+        return None
+    rec["points"] = rows
+    return obj
+
+
+def _float_rows(data: bytes, start: int):
+    """(rows, stop): the JSON array opening at data[start] as an (n, d) float array, and
+    the index just past its "]"; None unless it is n >= 1 rows of d >= 1 float tokens.
+
+    The array's rows are cut, after a row's "]", into chunks of at most _READ_CHUNK bytes
+    (longer rows give None). A chunk is accepted when (1) with number characters turned
+    into "0" and whitespace deleted, deleting the "0"s leaves k rows "[" + ","*(d-1) + "]"
+    joined by ",", and before the "0"s are deleted it starts with "[" and holds "],[" k-1
+    times; and (2) json.loads of the chunk with its brackets turned into spaces, inside
+    "[...]", reads k*d numbers, none of them an integer token. By (1) every number lies
+    in a cell of a row, and by (2) every cell holds one JSON number token, so the chunk
+    is JSON and json.loads would read it as those rows of the same floats.
+    """
+    end = _ARRAY_END.search(data, start + 1)
+    if end is None:
+        return None
+    last = end.start() + 1  # just past the last row's "]"
+    blocks, p, template = [], start + 1, None
+    while p < last:
+        q = last if p + _READ_CHUNK >= last else data.rfind(b"]", p, p + _READ_CHUNK) + 1
+        sep = _ROW_SEP.match(data, q) if q < last else None
+        if q <= p or (q < last and sep is None):
+            return None
+        chunk = data[p:q]
+        cells = chunk.translate(_CELLS, b" \t\n\r")
+        skeleton = cells.translate(None, b"0")
+        if template is None:  # the first row's; d = len(template) - 1
+            template = b"[" + b"," * (skeleton.find(b"]") - 1) + b"]"
+        k = skeleton.count(b"[")
+        if skeleton + b"," != (template + b",") * k or cells[:1] != b"[" or cells.count(b"],[") != k - 1:
+            return None
+        try:
+            values = np.array(json.loads(b"[" + chunk.translate(_UNBRACKET) + b"]", parse_int=_no_integer))
+        except ValueError:
+            return None
+        if values.dtype != np.float64 or values.size != k * (len(template) - 1):
+            return None
+        blocks.append(values.reshape(k, -1))
+        p = sep.end() if sep else last
+    return np.concatenate(blocks), end.end()
+
+
+def _no_integer(token: str):
+    raise ValueError(f"integer token {token}")
 
 
 def _numbers(v) -> np.ndarray:

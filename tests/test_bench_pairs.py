@@ -2,6 +2,7 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -176,3 +177,31 @@ def test_launcher_imports_neither_numpy_nor_scipy():
              "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_tier1_runs_three_times_per_side_in_a_fixed_order(tmp_path, monkeypatch):
+    # a stubbed pytest run reads the side from a marker in the checkout it is run in;
+    # the clock makes the runs take 10, 20, 21, 13, 11 and 25 s in turn
+    sides = {}
+    for side in ("base", "new"):
+        sides[side] = tmp_path / side
+        sides[side].mkdir()
+        (sides[side] / "side").write_text(side)
+    seen = []
+
+    def fake_run(argv, cwd, **kwargs):
+        assert argv == bench_pairs.TIER1
+        seen.append((Path(cwd) / "side").read_text())
+        return subprocess.CompletedProcess(argv, 0, stdout=f"....\n{len(seen)} passed in 1.0s\n", stderr="")
+
+    clock = iter([0.0, 10.0, 0.0, 20.0, 0.0, 21.0, 0.0, 13.0, 0.0, 11.0, 0.0, 25.0])
+    monkeypatch.setattr(bench_pairs, "subprocess", SimpleNamespace(run=fake_run))
+    monkeypatch.setattr(bench_pairs, "time", SimpleNamespace(perf_counter=clock.__next__))
+    record = bench_pairs._tier1_rounds(sides, tmp_path / "checkout")
+    assert seen == ["base", "new", "new", "base", "base", "new"]
+    assert [r["wall_s"] for r in record["base"]["runs"]] == [10.0, 13.0, 11.0]
+    assert [r["wall_s"] for r in record["new"]["runs"]] == [20.0, 21.0, 25.0]
+    assert record["base"]["median_wall_s"] == 11.0 and record["new"]["median_wall_s"] == 21.0
+    assert record["new"]["runs"][0]["summary"] == "2 passed in 1.0s"
+    assert all(r["exit"] == 0 for side in record.values() for r in side["runs"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base", "new"]  # each side moved back

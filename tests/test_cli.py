@@ -112,6 +112,19 @@ class TestGen:
         obj = json.loads(capsys.readouterr().out)
         assert len(obj["pointset"]["points"]) == 5
 
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    def test_stdout_is_the_output_file(self, block, tmp_path, capsys, monkeypatch):
+        from quasidiff import pointset
+
+        monkeypatch.setattr(pointset, "_ROW_BLOCK", block)
+        args = ("gen", "model-set", "--scheme", "fibonacci", "--box", "0,30")
+        out = tmp_path / "ms.json"
+        assert run(*args, "--output", str(out)) == 0
+        assert run(*args) == 0
+        text = capsys.readouterr().out
+        assert text == out.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+
     def test_cap_exceeded_exit_code(self, capsys):
         assert run("gen", "model-set", "--scheme", "fibonacci", "--box", "0,100000",
                    "--cap", "10") == 3

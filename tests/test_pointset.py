@@ -2,10 +2,11 @@ import io
 import json
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quasidiff import (
@@ -21,7 +22,9 @@ from quasidiff import (
     substitution_fixed_point,
     word_to_pointset,
 )
-from quasidiff.pointset import _json_text, _min_separation_raw
+from quasidiff import pointset
+from quasidiff.cli import _load_pointset
+from quasidiff.pointset import _json_parts, _min_separation_raw, _parse_rows, _write_parts
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -374,7 +377,21 @@ def _dumps(v):
     return json.dumps(_plain(v), sort_keys=True, indent=1, allow_nan=False)
 
 
+def _json_text(v):
+    """The text _write_parts writes of _json_parts(v)."""
+    buf = io.StringIO()
+    _write_parts(_json_parts(v), buf)
+    return buf.getvalue()
+
+
 class TestJsonText:
+    @pytest.fixture(scope="class", params=[1, 2, pointset._ROW_BLOCK], autouse=True)
+    def row_block(self, request):
+        """Every test of the class runs with arrays formatted 1, 2 and _ROW_BLOCK rows at a time."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pointset, "_ROW_BLOCK", request.param)
+            yield request.param
+
     @given(st.recursive(_float_arrays() | _JSON, lambda c: st.dictionaries(_TEXT, c, max_size=4), max_leaves=8))
     @settings(max_examples=150, deadline=None)
     def test_matches_json_dumps(self, obj):
@@ -415,3 +432,210 @@ class TestJsonText:
             _json_text({"points": np.array([[0.0], [bad]])})
         with pytest.raises(ValueError):
             _json_text({"meta": {"x": [bad]}})
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rows_either_side_of_a_block_boundary(self, row_block, dim):
+        rng = np.random.default_rng(dim)
+        for n in {1, row_block - 1, row_block, row_block + 1, 2 * row_block - 1, 2 * row_block + 1} - {0}:
+            wps = WeightedPointSet(dim, rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim)))
+            assert _json_text(wps._record()) == _dumps(wps._record()), n
+            assert _json_text({"pointset": {"points": wps.points}}) == _dumps({"pointset": {"points": wps.points}})
+
+    def test_parts_are_checked_before_they_are_returned(self):
+        # a non-finite value after an array raises before any part is handed out
+        with pytest.raises(ValueError):
+            _json_parts({"a": np.zeros((3, 1)), "b": np.inf})
+        parts = _json_parts({"a": np.zeros((3, 1))})
+        assert any(not isinstance(p, str) for p in parts)  # the rows stay lazy until written
+
+
+def _pointset_outcome(read):
+    """("ok", dim, bits of points and weights, meta) of read(), or ("error", message)."""
+    try:
+        wps = read()
+    except ValidationError as exc:
+        return "error", str(exc)
+    return "ok", wps.dim, wps.points.view(np.int64).tolist(), wps.weights.view(np.int64).tolist(), repr(wps.meta)
+
+
+def _reference_outcome(path: Path):
+    """What the point-set reader gave before it read in chunks: json.loads of the text
+    Path.read_text gives, then from_json of the object or of its "pointset"."""
+    def read():
+        try:
+            obj = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ValidationError(f"point-set file {path}: {exc}")
+        return WeightedPointSet.from_json(obj.get("pointset", obj) if isinstance(obj, dict) else obj)
+    return _pointset_outcome(read)
+
+
+@st.composite
+def _pointset_files(draw):
+    """The bytes of a valid point-set file, bare or under "pointset", as the program writes them."""
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    coords = draw(st.lists(_FLOATS, min_size=n * dim, max_size=n * dim, unique=True))
+    w = np.array(draw(st.lists(_FLOATS, min_size=2 * n, max_size=2 * n))).reshape(n, 2).view(complex)[:, 0]
+    wps = WeightedPointSet(dim, np.array(coords).reshape(n, dim), w if draw(st.booleans()) else None,
+                           {"generator": "test", "note": draw(_TEXT), "basis": [[1.0, 2.0]]})
+    rec = wps._record()
+    return _json_text({"config": {"input": "x.json"}, "pointset": rec} if draw(st.booleans()) else rec).encode()
+
+
+# bytes a mutation may insert: number characters, structure, whitespace and the starts of other tokens
+_MUTATIONS = st.sampled_from([b"0", b"7", b"-", b"+", b".", b"e", b"E", b"[", b"]", b",", b" ", b"\n", b"\r",
+                              b'"', b"-0", b"12", b"1e400", b"[]", b"NaN", b"Infinity", b"true", b"\xc3\xa9"])
+
+# texts the reader must read as json.loads does: the number forms, empty and ragged rows, stray
+# commas and brackets, constants, duplicate and nested "points" keys, encodings
+_PINNED_FILES = [
+    b'{"dim": 1, "points": [[-0.0], [1.5]]}',
+    b'{"dim": 1, "points": [[-0], [1.5]]}',
+    b'{"dim": 1, "points": [[1], [2]]}',
+    b'{"dim": 1, "points": [[1.5], [2]]}',
+    b'{"dim": 1, "points": [[1.5], [' + b"9" * 400 + b']]}',
+    b'{"dim": 1, "points": [[1e400], [1.5]]}',
+    b'{"dim": 1, "points": [[1E5], [1e-5], [2.5e+3]]}',
+    b'{"dim": 1, "points": [[+1.0], [2.0]]}',
+    b'{"dim": 1, "points": [[.5], [2.0]]}',
+    b'{"dim": 1, "points": [[1.], [2.0]]}',
+    b'{"dim": 1, "points": [[01.5], [2.0]]}',
+    b'{"dim": 1, "points": []}',
+    b'{"dim": 1, "points": [[]]}',
+    b'{"dim": 1, "points": [[], [1.0]]}',
+    b'{"dim": 2, "points": [[1.0, 2.0], [3.0]]}',
+    b'{"dim": 2, "points": [[1.0], [2.0, 3.0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0],]}',
+    b'{"dim": 1, "points": [[1.0,], [2.0]]}',
+    b'{"dim": 2, "points": [[1.0,]2.0, [3.0, 4.0]]}',
+    b'{"dim": 2, "points": [[1.0, 2.0], 3.0[4.0]]}',
+    b'{"dim": 1, "points": [5.0 []]}',
+    b'{"dim": 1, "points": [[1.0], 5.0 []]}',
+    b'{"dim": 1, "points": [[1.0] [2.0]]}',
+    b'{"dim": 1, "points": [[1.0],, [2.0]]}',
+    b'{"dim": 1, "points": [[1.0]]]}',
+    b'{"dim": 1, "points": [[[1.0]]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]',
+    b'{"dim": 1, "points": [[NaN], [1.0]]}',
+    b'{"dim": 1, "points": [[true], [1.0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"x": NaN}}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"x": -Infinity}}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"x": "NaN"}}',
+    b'{"dim": 1, "points": [[1.0]], "points": [[2.0], [3.0]]}',
+    b'{"dim": 1, "points": [[2.0], [3.0]], "points": [[1.0]]}',
+    b'{"dim": 1, "points": [[2.0], [3.0]], "points": "x"}',
+    b'{"dim": 1, "meta": {"points": [[5.0]]}, "points": [[1.0], [2.0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"points": [[5.0]]}}',
+    b'{"dim": 1, "a\\"points": [[1.0]], "points": [[2.0]]}',
+    b'{"dim": 1, "meta": {"a\\"points": [[1.0]]}}',
+    b'{"pointset": {"dim": 1, "points": [[1.0], [2.0]]}, "points": [[3.0]]}',
+    b'{"pointset": [1], "points": [[1.0]]}',
+    b'{"pointset": {"dim": 1, "meta": {"points": [[1.0]]}}}',
+    b'[{"dim": 1, "points": [[1.0]]}]',
+    b'{"dim": true, "points": [[1.0]]}',
+    b'{"dim": 2, "points": [[1.0], [2.0]]}',
+    b'{"dim": 1, "points": [[1.0], [1.0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1, 0], [0.5, 0.5]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1, 0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"note": "\xc3\xa9"}}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"note": "\\u00e9"}}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"note": "\xff"}}',
+    b'\xef\xbb\xbf{"dim": 1, "points": [[1.0], [2.0]]}',
+    b'{"dim": 1,\r\n "points": [\r\n  [\r\n   1.0\r\n  ],\r\n  [2.0]\r\n ]\r\n}',
+    b'{"dim": 1, "points":[[1.0], [2.0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]]} x',
+    b'{"dim": 1, "points": [[1.0],\x0c[2.0]]}',
+    b"{not json",
+    b"",
+]
+
+
+class TestReader:
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reader") / "p.json"
+
+    @pytest.fixture(scope="class", params=[16, 128, pointset._READ_CHUNK], autouse=True)
+    def read_chunk(self, request):
+        """Every test of the class runs with chunks shorter than some rows (which fall back
+        to json.loads), of a row or a few (at most 95 bytes a row here), and of _READ_CHUNK bytes."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pointset, "_READ_CHUNK", request.param)
+            yield request.param
+
+    def _same(self, scratch, data: bytes):
+        scratch.write_bytes(data)
+        got = _pointset_outcome(lambda: _load_pointset(str(scratch)))
+        assert got == _reference_outcome(scratch), data
+        return got
+
+    @pytest.mark.parametrize("data", _PINNED_FILES)
+    def test_pinned_files(self, scratch, data):
+        self._same(scratch, data)
+
+    @given(data=_pointset_files())
+    @settings(max_examples=60, deadline=None)
+    def test_valid_files_read_in_chunks(self, scratch, read_chunk, data):
+        if read_chunk >= 128:  # the program's own files do not fall back
+            assert _parse_rows(data) is not None
+        assert self._same(scratch, data)[0] == "ok"
+
+    @given(data=_pointset_files(), at=st.floats(0, 1, exclude_max=True), cut=st.integers(0, 3),
+           insert=_MUTATIONS)
+    @example(data=b'{"dim": 1, "points": [[1.0], [2.0]]}', at=0.7, cut=1, insert=b"]")
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_files(self, scratch, data, at, cut, insert):
+        # most mutations land in the points array, which fills most of the text
+        i = data.rfind(b'"points": [') + int(at * len(data[data.rfind(b'"points": ['):]))
+        self._same(scratch, data[:i] + insert + data[i + cut:])
+
+    def test_load_reads_text_and_binary_files(self):
+        wps = WeightedPointSet(2, [[0.5, -0.0], [1e-300, 2.0]], [1.0, 2.0 - 1j], {"note": "\u00e9"})
+        buf = io.StringIO()
+        wps.dump(buf)
+        for fp in (io.StringIO(buf.getvalue()), io.BytesIO(buf.getvalue().encode())):
+            back = WeightedPointSet.load(fp)
+            assert back.points.view(np.int64).tolist() == wps.points.view(np.int64).tolist()
+            assert np.array_equal(back.weights, wps.weights) and back.meta["note"] == "\u00e9"
+
+    def test_load_reports_a_non_json_text_as_a_validation_error(self):
+        with pytest.raises(ValidationError, match=r"^point-set JSON: Expecting property name"):
+            WeightedPointSet.load(io.StringIO("{not json"))
+        with pytest.raises(ValidationError, match=r"^point-set JSON: Expecting value"):
+            WeightedPointSet.load(io.BytesIO(b'{"dim": 1, "points": [[1.0], ]}'))
+
+
+def _patch_file(tmp_path) -> tuple[WeightedPointSet, Path]:
+    """A 1e5-point 1D patch with model-set-like coordinates, and its file as dump writes it."""
+    rng = np.random.default_rng(8)
+    wps = WeightedPointSet(1, (500 * rng.random() + np.cumsum(rng.choice([1.0, TAU], 10**5)))[:, None])
+    path = tmp_path / "patch.json"
+    with path.open("w") as fh:
+        wps.dump(fh)
+    return wps, path
+
+
+class TestPointSetMemory:
+    def test_read_peak_under_twice_the_file(self, tmp_path):
+        wps, path = _patch_file(tmp_path)
+        tracemalloc.start()
+        try:
+            with path.open("rb") as fh:
+                back = WeightedPointSet.load(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.points, wps.points)
+        assert peak < 2 * path.stat().st_size
+
+    def test_write_peak_under_one_mib(self, tmp_path):
+        wps, path = _patch_file(tmp_path)
+        with path.open("w") as fh:
+            tracemalloc.start()
+            try:
+                wps.dump(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert path.read_text() == _dumps(wps._record())
+        assert peak < 2**20

@@ -12,8 +12,9 @@ the path of a checkout alone can move peak RSS by most of a MiB. The file
 records the machine, both commit ids, every run's end-to-end metrics, per-side
 medians with quartiles, how many pairs the working tree won per metric (by the
 `better` direction in BENCHMARK.json), each metric's verdict, the runs on each
-side that failed a check or an operation, and the tier-1 wall time of each
-side. The machine entry has the L2 and L3 cache sizes. Next to each run it
+side that failed a check or an operation, and the tier-1 wall times: tier-1
+runs three times per side, in the fixed order base, new, new, base, base, new,
+and the file keeps every run and each side's median wall time. The machine entry has the L2 and L3 cache sizes. Next to each run it
 records the import RSS: the peak RSS of a Python that has only imported
 quasidiff.cli from that side, made from the same path. It is not gated; it
 tells growth of peak_rss_mib that comes from module size or import-time
@@ -68,6 +69,8 @@ IMPORT_RSS = "import quasidiff.cli; print(open('/proc/self/status').read().split
 # readings recorded per run but not gated, with the unit they are printed in
 UNGATED = {"import_rss_mib": " MiB", "cpu_s": " s", "steal_jiffies": "", "other_cpu_s": " s"}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+# the sides tier-1 runs on, in turn: three runs each, each side first and last once
+TIER1_ORDER = ("base", "new", "new", "base", "base", "new")
 
 
 def _git(*args: str) -> str:
@@ -184,6 +187,15 @@ def _tier1(checkout: Path) -> dict:
     return {"wall_s": round(time.perf_counter() - t0, 2), "summary": tail[-1] if tail else "", "exit": proc.returncode}
 
 
+def _tier1_rounds(sides: dict, here: Path) -> dict:
+    """Per side, its tier-1 runs in TIER1_ORDER and their median wall time; each run is made at here."""
+    runs = {side: [] for side in sides}
+    for side in TIER1_ORDER:
+        with _at(sides[side], here):
+            runs[side].append(_tier1(here))
+    return {side: {"runs": r, "median_wall_s": statistics.median(x["wall_s"] for x in r)} for side, r in runs.items()}
+
+
 def _quartiles(xs: list) -> dict:
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
     return {"median": med, "q1": q1, "q3": q3}
@@ -258,10 +270,7 @@ def main(argv=None) -> int:
         _export(args.base, sides["base"])
         _copy_working_tree(sides["new"])
         here = Path(tmp) / "checkout"
-        record["tier1"] = {}
-        for side, path in sides.items():
-            with _at(path, here):
-                record["tier1"][side] = _tier1(here)
+        record["tier1"] = _tier1_rounds(sides, here)
         for spec in args.specs:
             workload, pairs = spec.split(":")
             runs = []
