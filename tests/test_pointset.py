@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasidiff import (
@@ -377,21 +377,21 @@ def _dumps(v):
     return json.dumps(_plain(v), sort_keys=True, indent=1, allow_nan=False)
 
 
-def _json_text(v):
-    """The text _write_parts writes of _json_parts(v)."""
-    buf = io.StringIO()
-    _write_parts(_json_parts(v), buf)
-    return buf.getvalue()
+def _json_text(v, blocks=(1, 2, pointset._ROW_BLOCK)):
+    """The text _write_parts writes of _json_parts(v), which must not depend on how many
+    rows of an array are formatted at a time (each of blocks)."""
+    texts = set()
+    for block in blocks:
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pointset, "_ROW_BLOCK", block)
+            _write_parts(_json_parts(v), buf)
+        texts.add(buf.getvalue())
+    assert len(texts) == 1
+    return texts.pop()
 
 
 class TestJsonText:
-    @pytest.fixture(scope="class", params=[1, 2, pointset._ROW_BLOCK], autouse=True)
-    def row_block(self, request):
-        """Every test of the class runs with arrays formatted 1, 2 and _ROW_BLOCK rows at a time."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pointset, "_ROW_BLOCK", request.param)
-            yield request.param
-
     @given(st.recursive(_float_arrays() | _JSON, lambda c: st.dictionaries(_TEXT, c, max_size=4), max_leaves=8))
     @settings(max_examples=150, deadline=None)
     def test_matches_json_dumps(self, obj):
@@ -433,13 +433,14 @@ class TestJsonText:
         with pytest.raises(ValueError):
             _json_text({"meta": {"x": [bad]}})
 
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_rows_either_side_of_a_block_boundary(self, row_block, dim):
+    @pytest.mark.parametrize("block", [1, 2, pointset._ROW_BLOCK])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_either_side_of_a_block_boundary(self, block, dim):
         rng = np.random.default_rng(dim)
-        for n in {1, row_block - 1, row_block, row_block + 1, 2 * row_block - 1, 2 * row_block + 1} - {0}:
+        for n in {1, block - 1, block, block + 1, 2 * block - 1, 2 * block + 1} - {0}:
             wps = WeightedPointSet(dim, rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim)))
-            assert _json_text(wps._record()) == _dumps(wps._record()), n
-            assert _json_text({"pointset": {"points": wps.points}}) == _dumps({"pointset": {"points": wps.points}})
+            rec = {"pointset": wps._record()}
+            assert _json_text(rec, [block]) == _dumps(rec), n
 
     def test_parts_are_checked_before_they_are_returned(self):
         # a non-finite value after an array raises before any part is handed out
@@ -555,19 +556,17 @@ class TestReader:
     def scratch(self, tmp_path_factory):
         return tmp_path_factory.mktemp("reader") / "p.json"
 
-    @pytest.fixture(scope="class", params=[16, 128, pointset._READ_CHUNK], autouse=True)
-    def read_chunk(self, request):
-        """Every test of the class runs with chunks shorter than some rows (which fall back
-        to json.loads), of a row or a few (at most 95 bytes a row here), and of _READ_CHUNK bytes."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pointset, "_READ_CHUNK", request.param)
-            yield request.param
-
     def _same(self, scratch, data: bytes):
+        """The outcome of reading data, the same as the reference's with chunks shorter than
+        some rows (which fall back to json.loads), of a row or a few (at most 95 bytes a row
+        here), and of _READ_CHUNK bytes."""
         scratch.write_bytes(data)
-        got = _pointset_outcome(lambda: _load_pointset(str(scratch)))
-        assert got == _reference_outcome(scratch), data
-        return got
+        want = _reference_outcome(scratch)
+        for chunk in (16, 128, pointset._READ_CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pointset, "_READ_CHUNK", chunk)
+                assert _pointset_outcome(lambda: _load_pointset(str(scratch))) == want, (chunk, data)
+        return want
 
     @pytest.mark.parametrize("data", _PINNED_FILES)
     def test_pinned_files(self, scratch, data):
@@ -575,18 +574,19 @@ class TestReader:
 
     @given(data=_pointset_files())
     @settings(max_examples=60, deadline=None)
-    def test_valid_files_read_in_chunks(self, scratch, read_chunk, data):
-        if read_chunk >= 128:  # the program's own files do not fall back
-            assert _parse_rows(data) is not None
+    def test_valid_files_read_in_chunks(self, scratch, data):
         assert self._same(scratch, data)[0] == "ok"
+        with pytest.MonkeyPatch.context() as mp:  # the program's own files do not fall back
+            mp.setattr(pointset, "_READ_CHUNK", 128)
+            assert _parse_rows(data) is not None
 
     @given(data=_pointset_files(), at=st.floats(0, 1, exclude_max=True), cut=st.integers(0, 3),
            insert=_MUTATIONS)
-    @example(data=b'{"dim": 1, "points": [[1.0], [2.0]]}', at=0.7, cut=1, insert=b"]")
     @settings(max_examples=200, deadline=None)
     def test_mutated_files(self, scratch, data, at, cut, insert):
         # most mutations land in the points array, which fills most of the text
-        i = data.rfind(b'"points": [') + int(at * len(data[data.rfind(b'"points": ['):]))
+        key = data.rfind(b'"points": [')
+        i = key + int(at * (len(data) - key))
         self._same(scratch, data[:i] + insert + data[i + cut:])
 
     def test_load_reads_text_and_binary_files(self):
