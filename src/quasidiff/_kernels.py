@@ -7,43 +7,57 @@ import math
 
 import numpy as np
 
-# _exact_sum's bucket sums stay exact for fewer terms than this
+# _exact_sum's level sums stay exact for fewer terms than this
 _EXACT_SUM_TERMS = 2**26
-# binary exponents (np.frexp) _exact_sum buckets: below, a piece could go
-# subnormal; above, a sum of 2**26 terms could overflow
-_EXP_LO, _EXP_HI = -968, 960
+# extraction levels _exact_sum takes before math.fsum adds the rest
+_LEVELS = 4
 
 
-def _exact_sum(x: np.ndarray) -> float:
+def _exact_sum(x: np.ndarray, scratch: bool = False) -> float:
     """Correctly rounded sum of a 1D float array, with the bits of math.fsum(x).
 
-    Each term is m 2**e (np.frexp, 0.5 <= |m| < 1), and t = m 2**27 splits
-    exactly into the integer H = trunc(t), below 2**27, and F = t - H, a
-    multiple of 2**-26 below 1. np.bincount adds H and F per exponent e. With
-    fewer than 2**26 terms every partial sum is an integer below 2**53 (H) or
-    a multiple of 2**-26 below 2**26 (F), so no addition rounds. The pieces
-    H_e 2**(e - 27) and F_e 2**(e - 27) are exact doubles summing to the exact
-    sum of x, which math.fsum rounds correctly. A correctly rounded sum has
-    one value, so it is math.fsum(x) bit for bit; a zero sum is +0.0 in both.
-    Empty, long (_EXACT_SUM_TERMS), non-finite, and very small or very large
-    input (exponents outside _EXP_LO.._EXP_HI) goes to math.fsum(x) itself,
-    with its result or its OverflowError or ValueError.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008, ExtractVector). For
+    n terms r with |r| < 2**k, take M with 2**M > n + 2 and s = 2**(k + M).
+    Then q = (s + r) - s is exact, a multiple of 2**(k + M - 53) of size at
+    most 2**k(1 + 2**(M - 53)), and r - q is exact and at most 2**(k + M - 53).
+    Any partial sum of the n values q is a multiple of 2**(k + M - 53) below
+    2**(k + M), a double, so numpy's sum of q is exact in any order. Each
+    level replaces r by r - q, which takes k down by 52 - M, until r is zero,
+    after _LEVELS levels, or when s would be subnormal; math.fsum then rounds
+    the level sums and the nonzero remainders, whose exact sum is that of x,
+    once. A correctly rounded sum has one value, so it is math.fsum(x) bit for
+    bit. Empty, long (_EXACT_SUM_TERMS), all-zero, non-finite and huge input
+    (s above 2**1023) goes to math.fsum(x) itself, with its result or its
+    OverflowError or ValueError. With scratch the caller hands over x, a
+    writable float64 buffer, and it holds the remainder; otherwise x is only
+    read.
     """
-    if len(x) == 0 or len(x) >= _EXACT_SUM_TERMS:
+    n = len(x)
+    if n == 0 or n >= _EXACT_SUM_TERMS:
         return math.fsum(x)
-    m, e = np.frexp(x)
-    lo, hi = int(e.min()), int(e.max())
-    if lo < _EXP_LO or hi > _EXP_HI:
+    q = np.abs(x)
+    top = float(q.max())
+    if not 0 < top < math.inf:  # zeros, inf or nan (which compares false)
         return math.fsum(x)
-    e -= lo
-    m *= 2.0**27
-    h = np.trunc(m)
-    high = np.bincount(e, h)
-    if not np.isfinite(high).all():  # inf or nan terms (frexp gives them e = 0)
+    m = (n + 2).bit_length()
+    e = math.frexp(top)[1] + m  # s = 2**e, |r| < 2**(e - m)
+    if e > 1023:
         return math.fsum(x)
-    low = np.bincount(e, np.subtract(m, h, out=m))
-    scale = np.arange(lo - 27, hi - 26)
-    return math.fsum(np.ldexp(high, scale).tolist() + np.ldexp(low, scale).tolist())
+    r, sums = x, []
+    for _ in range(_LEVELS):
+        if e < -1022:
+            break
+        s = math.ldexp(1.0, e)
+        np.add(r, s, out=q)
+        q -= s
+        sums.append(float(q.sum()))
+        r = np.subtract(r, q, out=r if scratch else None)
+        scratch = True
+        if not r.any():
+            return math.fsum(sums)
+        e += m - 52
+    return math.fsum(sums + r[r != 0].tolist())
 
 
 def _lexorder(cols) -> tuple[np.ndarray, np.ndarray]:

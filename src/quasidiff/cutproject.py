@@ -281,18 +281,21 @@ def _enumerate_preimages(mat: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: i
                 upper = np.minimum(upper, lo_j / c)
         pad_lo = 1e-9 * (1.0 + np.abs(lower))
         pad_hi = 1e-9 * (1.0 + np.abs(upper))
-        kmin = np.ceil(lower - pad_lo).astype(np.int64)
-        kmax = np.floor(upper + pad_hi).astype(np.int64)
+        kmin = np.ceil(lower - pad_lo)
+        kmax = np.floor(upper + pad_hi)
+        # counted in floats, before any int64 cast could wrap a huge interval
         counts = np.maximum(kmax - kmin + 1, 0)
-        total = int(counts.sum())
-        visited += total
-        if visited > cap:
+        visited += float(counts.sum())
+        if not visited <= cap:  # nan: an interval without a bound
             raise ResourceLimitError(
                 f"lattice enumeration exceeded the candidate cap ({cap}); "
                 "shrink the region or raise the cap"
             )
+        counts = counts.astype(np.int64)
+        total = int(counts.sum())
         if total == 0:
             return np.zeros((0, dtot), dtype=np.int64)
+        kmin = kmin.astype(np.int64)
         cum = np.concatenate([[0], np.cumsum(counts)])
         pos = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], counts)
         newcol = np.repeat(kmin, counts) + pos

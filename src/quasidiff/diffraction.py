@@ -51,33 +51,54 @@ class FourierAverage:
 def fourier_average(wps: WeightedPointSet, box: Box, xi) -> FourierAverage:
     """Volume-normalized Fourier sum of the patch restricted to the box.
 
-    The real and imaginary parts of the phase terms are each summed exactly
-    and rounded once (_exact_sum), so the value does not depend on the
-    order of the points or on the thread that computes it, is reproducible
-    bit for bit, and satisfies |value| <= (sum |w| in box)/vol.
+    The phase is the one product x xi in 1D and x @ xi otherwise. The real
+    and imaginary parts of the phase terms are each summed exactly and
+    rounded once (_exact_sum, the bits of math.fsum), so the value does not
+    depend on the order of the points or on the thread that computes it, is
+    reproducible bit for bit, and satisfies |value| <= (sum |w| in box)/vol.
     """
     if box.dim != wps.dim:
         raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
     xi = _vector(xi, dim=wps.dim, name="xi")
     mask = box.contains(wps.points)
-    value = _phase_sum(wps.points[mask], wps.weights[mask], xi) / box.volume
+    value = _phase_sum(wps.points[mask], _real_or_complex(wps.weights[mask]), xi) / box.volume
     return FourierAverage(xi, value, box.volume, int(mask.sum()))
 
 
-def _phase_terms(x: np.ndarray, c: np.ndarray, xi: np.ndarray, imag: bool) -> tuple:
-    """(Re, Im or None) of the terms c exp(-2 pi i xi.x) over the rows x, from the real phase:
-    numpy's float64 cos and sin are the parts of its complex exp, so only the signs of zeros
-    differ from c times that exp, and no exact sum sees them. Real c takes sin only for Im."""
-    ph = -2 * np.pi * (x @ xi)
-    if not c.imag.any():
-        return c.real * np.cos(ph), c.real * np.sin(ph) if imag else None
-    z = c * (np.cos(ph) + 1j * np.sin(ph))
-    return z.real, z.imag if imag else None
+def _real_or_complex(c: np.ndarray) -> np.ndarray:
+    """c.real (a view) when no part of c is imaginary, else c: the weights _phase_terms takes."""
+    return c if c.imag.any() else c.real
+
+
+def _phase_terms(x: np.ndarray, c: np.ndarray, xi: np.ndarray, imag: bool, out: np.ndarray | None = None):
+    """(Re, Im or None) of the terms c exp(-2 pi i xi.x) over the rows x, from the real phase.
+
+    numpy's float64 cos and sin are the parts of its complex exp, so only the
+    signs of zeros differ from c times that exp, and no exact sum sees them.
+    In 1D the phase is x[:, 0] * xi[0], the one product x @ xi rounds (BLAS
+    may only turn a -0.0 product into +0.0); in more dimensions it is x @ xi,
+    whose fused products a sum of products would not match. A float c is
+    real weights: Re is c cos, and Im is c sin, computed only if asked for.
+    Given out, the phase and then Re are written into it.
+    """
+    ph = np.multiply(x[:, 0], xi[0], out=out) if len(xi) == 1 else np.matmul(x, xi, out=out)
+    ph *= -2 * np.pi
+    if c.dtype.kind == "c":
+        z = c * (np.cos(ph) + 1j * np.sin(ph))
+        ph[...] = z.real
+        return ph, z.imag if imag else None
+    im = np.sin(ph) if imag else None
+    re = np.cos(ph, out=ph)
+    re *= c
+    if imag:
+        im *= c
+    return re, im
 
 
 def _phase_sum(pts: np.ndarray, w: np.ndarray, xi: np.ndarray) -> complex:
     """Exact sum of w_x exp(-2 pi i xi.x) over the rows x of pts, each part rounded once."""
-    return complex(*map(_exact_sum, _phase_terms(pts, w, xi, imag=True)))
+    re, im = _phase_terms(pts, w, xi, imag=True)
+    return complex(_exact_sum(re, scratch=True), _exact_sum(im, scratch=True))
 
 
 def _evaluator(wps: WeightedPointSet, boxes: list, estimator: str):
@@ -96,7 +117,7 @@ def _evaluator(wps: WeightedPointSet, boxes: list, estimator: str):
         return ([p.point_count for p in patches],
                 lambda xi: [intensity_from_autocorr(p, xi) for p in patches])
     masks = [b.contains(wps.points) for b in boxes]
-    parts = [(wps.points[m], wps.weights[m], b.volume) for m, b in zip(masks, boxes)]
+    parts = [(wps.points[m], _real_or_complex(wps.weights[m]), b.volume) for m, b in zip(masks, boxes)]
     return ([int(m.sum()) for m in masks],
             lambda xi: [abs(_phase_sum(pts, w, xi) / vol) ** 2 for pts, w, vol in parts])
 
@@ -161,7 +182,9 @@ class AutocorrelationPatch:
     of raw differences that fell into the bin; _diagonal is the coefficient
     at 0. Hermitian symmetry is structural: the mirror of each bin sits at -q
     with the exact conjugate coefficient, and is never built. len(patch)
-    counts the diagonal, every bin and its mirror.
+    counts the diagonal, every bin and its mirror. _weights, set once, is
+    the coefficients as _phase_terms takes them: their real part when no
+    coefficient has an imaginary one.
     """
 
     _half: tuple
@@ -185,6 +208,7 @@ class AutocorrelationPatch:
         for a in half:
             a.setflags(write=False)
         object.__setattr__(self, "_half", half)
+        object.__setattr__(self, "_weights", _real_or_complex(coeffs))
 
     def __len__(self) -> int:
         return 2 * len(self._half[0]) + 1
@@ -439,15 +463,20 @@ def intensity_from_autocorr(patch: AutocorrelationPatch, xi, averaging_box: Box 
     over the stored half, each half term weighted by how many of r_q and -r_q
     the averaging box contains. Doubling is exact and the sum is rounded once
     (_exact_sum), so this is the exactly rounded full sum, from one phase per
-    +-q pair. Over all bins the imaginary part cancels term by term; with an
-    averaging box it is sum Im(term) (contains(r_q) - contains(-r_q)), which
-    vanishes for a box symmetric about 0 and is checked, not returned.
+    +-q pair. Without an averaging box the diagonal and the doubled real
+    parts are written into one array, which the exact sum then takes over
+    as its remainder. Over all bins the imaginary part cancels term by term;
+    with an averaging box it is sum Im(term) (contains(r_q) - contains(-r_q)),
+    which vanishes for a box symmetric about 0 and is checked, not returned.
     """
     xi = _vector(xi, dim=patch.dim, name="xi")
-    _, coeffs, reps, _ = patch._half
+    reps, weights = patch._half[2], patch._weights
     if averaging_box is None:
-        re, _ = _phase_terms(reps, coeffs, xi, imag=False)
-        return _exact_sum(np.r_[patch._diagonal, 2.0 * re]) / patch.normalizing_volume
+        terms = np.empty(len(reps) + 1)
+        terms[0] = patch._diagonal
+        _phase_terms(reps, weights, xi, imag=False, out=terms[1:])
+        terms[1:] *= 2.0
+        return _exact_sum(terms, scratch=True) / patch.normalizing_volume
     if averaging_box.dim != patch.dim:
         raise ValidationError(
             f"averaging box dimension {averaging_box.dim} != patch dimension {patch.dim}"
@@ -462,12 +491,14 @@ def intensity_from_autocorr(patch: AutocorrelationPatch, xi, averaging_box: Box 
     pos = averaging_box.contains(reps).astype(np.int8)
     neg = averaging_box.contains(-reps).astype(np.int8)
     sel = np.flatnonzero(pos | neg)
-    re, im = _phase_terms(reps[sel], coeffs[sel], xi, imag=True)
-    terms = re * (pos[sel] + neg[sel])
-    if averaging_box.contains(np.zeros((1, patch.dim)))[0]:
-        terms = np.r_[patch._diagonal, terms]
-    value = _exact_sum(terms) / averaging_box.volume
-    imag = _exact_sum(im * (pos[sel] - neg[sel])) / averaging_box.volume
+    head = int(averaging_box.contains(np.zeros((1, patch.dim)))[0])  # the diagonal, if inside
+    terms = np.empty(head + len(sel))
+    terms[:head] = patch._diagonal
+    re, im = _phase_terms(reps[sel], weights[sel], xi, imag=True, out=terms[head:])
+    re *= pos[sel] + neg[sel]
+    value = _exact_sum(terms, scratch=True) / averaging_box.volume
+    im *= pos[sel] - neg[sel]
+    imag = _exact_sum(im, scratch=True) / averaging_box.volume
     if abs(imag) > 1e-9 + 1e-6 * abs(value):
         warnings.warn(
             f"autocorrelation intensity at xi={xi.tolist()} has imaginary part "

@@ -13,11 +13,12 @@ iteration schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalDiagnosticError, ValidationError
 from .geometry import Box, _vector
 from .pointset import WeightedPointSet
 from .diffraction import fourier_average
@@ -40,8 +41,8 @@ class DisplacementDist:
 
     def __post_init__(self):
         if self.kind in ("uniform_interval", "two_point"):
-            if self.a is None or not float(self.a) > 0:
-                raise ValidationError(f"{self.kind} needs a positive half-width a")
+            if self.a is None or not 0 < float(self.a) < math.inf:
+                raise ValidationError(f"{self.kind} needs a positive finite half-width a")
             object.__setattr__(self, "a", float(self.a))
         elif self.kind == "table":
             if not self.atoms:
@@ -75,6 +76,10 @@ class DisplacementDist:
 
     def sample(self, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "uniform_interval":
+            if math.isinf(2.0 * self.a):
+                raise ValidationError(
+                    f"uniform_interval half-width {self.a!r} cannot be sampled: the width 2a overflows"
+                )
             return rng.uniform(-self.a, self.a, size=(n, dim))
         if self.kind == "two_point":
             return self.a * (2.0 * rng.integers(0, 2, size=(n, dim)) - 1.0)
@@ -208,19 +213,30 @@ def char_fn(dist: DisplacementDist, xi) -> complex:
     uniform_interval(a): product over axes of sin(2 pi xi_j a)/(2 pi xi_j a);
     two_point(a): product of cos(2 pi xi_j a); table: finite atom sum. Real for
     the two symmetric kinds, |sigma_hat| <= 1 everywhere, = 1 at xi = 0.
+    A uniform_interval factor whose phase v overflows is 0, the rounding of
+    |sin(v)/v| <= 1/|v|; an overflowed phase of the other kinds has no
+    defined cosine and raises NumericalDiagnosticError.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    with np.errstate(over="ignore"):
+        if dist.kind == "table":
+            t = np.array([2.0 * np.pi * np.dot(xi, vec) for vec, _ in dist.atoms])
+        else:
+            t = 2.0 * np.pi * xi * dist.a
     if dist.kind == "uniform_interval":
-        t = 2.0 * np.pi * xi * dist.a
         out = 1.0
         for v in t:
-            out *= 1.0 if abs(v) < 1e-15 else np.sin(v) / v
+            out *= 1.0 if abs(v) < 1e-15 else 0.0 if math.isinf(v) else np.sin(v) / v
         return complex(out)
+    if not np.isfinite(t).all():
+        raise NumericalDiagnosticError(
+            f"displacement phase 2 pi xi.x overflows at xi={xi.tolist()}; its cosine is undefined"
+        )
     if dist.kind == "two_point":
-        return complex(np.prod(np.cos(2.0 * np.pi * xi * dist.a)))
+        return complex(np.prod(np.cos(t)))
     total = 0j
-    for vec, prob in dist.atoms:
-        total += prob * np.exp(-2j * np.pi * float(np.dot(xi, vec)))
+    for (_, prob), v in zip(dist.atoms, t.tolist()):
+        total += prob * np.exp(-1j * v)
     return complex(total)
 
 

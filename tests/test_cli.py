@@ -130,6 +130,16 @@ class TestGen:
                    "--cap", "10") == 3
         assert "resource limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "model-set", "--scheme", "fibonacci", "--box=0,1e20"],
+        ["gen", "model-set", "--scheme", "fibonacci", "--box=-1e300,0"],
+        ["predict", "model-set", "--scheme", "fibonacci", "--range=0,1e20", "--floor", "1e-3"],
+    ], ids=["gen-1e20", "gen-minus-1e300", "predict-1e20"])
+    def test_region_beyond_int64_exit_code(self, argv, tmp_path, capsys):
+        # candidate counts past int64 are counted before any cast could wrap them to 0
+        assert run(*argv, "--output", str(tmp_path / "out")) == 3
+        assert "candidate cap" in capsys.readouterr().err
+
 
 class TestPerturb:
     def test_percolate(self, tmp_path, lattice_file):
@@ -161,6 +171,17 @@ class TestPerturb:
         base = load_points(lattice_file)
         assert len(moved) == len(base)
         assert np.max(np.abs(moved.points - base.points)) <= 0.1
+
+    @pytest.mark.parametrize("a, message", [
+        ("inf", "positive finite half-width"),
+        ("1e308", "the width 2a overflows"),
+    ])
+    def test_displace_unbounded_width_exit_code(self, a, message, lattice_file, capsys):
+        assert run("perturb", "displace", "--input", str(lattice_file),
+                   "--dist", f"uniform_interval:a={a}", "--seed", "3") == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_missing_input_exit_code(self, tmp_path):
         assert run(
@@ -354,6 +375,27 @@ class TestPredict:
             xi, point_part, diffuse = (float(v) for v in row.split(","))
             assert point_part == pytest.approx(0.25, abs=1e-10)
             assert diffuse == pytest.approx(0.25, abs=1e-10)
+
+
+    @pytest.mark.parametrize("model, code, rows", [
+        ("displacement:uniform_interval:a=inf", 2, None),
+        # |sigma_hat|^2 <= 1/(2 pi xi a)^2 rounds to 0 once the phase overflows
+        ("displacement:uniform_interval:a=1e308", 0, [(0.0, 1.0, 0.0), (1.0, 0.0, 1.0)]),
+        ("displacement:two_point:a=1e308", 4, None),
+    ], ids=["uniform-inf", "uniform-1e308", "two-point-1e308"])
+    def test_perturbed_overflowing_width(self, model, code, rows, tmp_path, lattice_file, capsys):
+        scan = tmp_path / "scan.csv"
+        assert run("diffract", "scan", "--input", str(lattice_file),
+                   "--box", "0,2000", "--xi", "0,1", "--output", str(scan)) == 0
+        out = tmp_path / "pred.csv"
+        assert run("predict", "perturbed", "--model", model, "--base-spectrum", str(scan),
+                   "--output", str(out)) == code
+        if rows is None:
+            assert "Traceback" not in capsys.readouterr().err
+            return
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        got = [tuple(float(v) for v in row.split(",")) for row in lines[1:]]
+        assert got == pytest.approx(rows, abs=1e-10)
 
 
 class TestWW:

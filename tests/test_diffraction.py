@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasidiff import (
+    AutocorrelationPatch,
     Box,
     Spectrum,
     SpectrumEntry,
@@ -166,13 +167,39 @@ class TestExactSum:
         [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324], [1.0, -1.0], [2.5],
         [1e16, 1.0, -1e16, 1.0, 1e-16], [1.7e308, 1.7e308, -1.7e308], [1.7e308, -1.7e308, 1.7e308],
         [math.inf, -math.inf], [math.nan, 1.0], [1e300, 1e-300, -1e300],
-        # the ends of the bucketed exponent range, and one past the low end
+        # a cancelling pair near the top of the range, and terms just above the subnormals
         [math.ldexp(0.5, -968), math.ldexp(0.75, 960), 1.0, math.ldexp(-0.75, 960)],
         [math.ldexp(0.5, -969), 1.0],
+        # extraction stops where 2**(k + M) would leave the normal range, or overflow
+        [math.ldexp(1.0, -1020), math.ldexp(1.0, -1070), -5e-324],
+        [math.ldexp(1.0, 1020), math.ldexp(1.0, 1019), -1.0],
+        # more than four levels: 50 bits a level for 3 terms, and a remainder after the fourth
+        [1.0, math.ldexp(1.0, -120), math.ldexp(-3.0, -240), math.ldexp(1.0, -400), -1.0],
+        [math.ldexp(1.0, 60 * j) * (-1) ** j for j in range(-17, 17)],
     ])
     def test_edge_cases(self, terms):
         z = _complex(terms, [-v for v in terms])
         assert _sum_or_error(_kernel_parts, z) == _sum_or_error(_fsum_parts, z)
+
+    def test_remainder_after_the_last_level(self):
+        # 1e4 terms over 900 bits of exponent: four levels of 38 bits leave most of them
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(10_000) * 2.0 ** rng.integers(-450, 450, 10_000)
+        z = _complex(x, np.r_[x[5000:], -x[:5000]])
+        assert _sum_or_error(_kernel_parts, z) == _sum_or_error(_fsum_parts, z)
+
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_input_read_or_taken_over(self, scratch):
+        from quasidiff._kernels import _exact_sum
+
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(5000) * 2.0 ** rng.integers(-80, 80, 5000)
+        want, before = math.fsum(x), x.copy()
+        if not scratch:  # read-only, like the arrays of a patch
+            x.setflags(write=False)
+        assert _exact_sum(x, scratch=scratch).hex() == want.hex()
+        if not scratch:
+            assert x.tobytes() == before.tobytes()
 
     def test_long_cancelling_sum(self):
         # the bulk cancels exactly and leaves the tiny terms
@@ -185,15 +212,15 @@ class TestExactSum:
     def test_term_cap_falls_back(self, monkeypatch):
         from quasidiff import _kernels
 
-        def no_buckets(*args, **kwargs):
-            raise AssertionError("bucketed")
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("extracted")
 
         monkeypatch.setattr(_kernels, "_EXACT_SUM_TERMS", 4)
-        monkeypatch.setattr(np, "bincount", no_buckets)
+        monkeypatch.setattr(np, "add", no_extraction)  # (s + r), the first step of a level
         x = np.array([1e16, 1.0, -1e16, 3.0])
         assert _kernels._exact_sum(x) == math.fsum(x)  # n at the cap: math.fsum
-        with pytest.raises(AssertionError, match="bucketed"):
-            _kernels._exact_sum(x[:3])  # below it: the buckets
+        with pytest.raises(AssertionError, match="extracted"):
+            _kernels._exact_sum(x[:3])  # below it: the extraction
 
 
 class TestPhaseKernel:
@@ -229,6 +256,60 @@ class TestPhaseKernel:
                 z = wps.weights[m] * np.exp(-2j * np.pi * (wps.points[m] @ xi))
                 want = abs(complex(math.fsum(z.real), math.fsum(z.imag)) / b.volume) ** 2
                 assert got.hex() == want.hex()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coords=st.lists(st.one_of(
+            st.floats(-40.0, 40.0),
+            st.floats(-_TINY, _TINY),  # subnormals and zeros
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1.5, 2.25]),
+        ), min_size=1, max_size=30, unique=True),  # unique: -0.0 == 0.0 would be a duplicate point
+        xis=st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 5e-324, -1e-310])),
+                     min_size=1, max_size=4),
+        weights=st.sampled_from(["unit", "real", "complex"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @pytest.mark.filterwarnings("ignore:autocorrelation intensity")  # [-2, 2) holds -2 but not 2
+    def test_1d_product_has_the_bits_of_matmul(self, coords, xis, weights, seed):
+        # in 1D the phase is x[:, 0] * xi[0]; it may differ from x @ xi only in the
+        # sign of a zero, so sums are compared, not phase arrays
+        def parts(x, c, xi):
+            ph = -2 * np.pi * (x @ xi)
+            if not c.imag.any():
+                return c.real * np.cos(ph), c.real * np.sin(ph)
+            z = c * (np.cos(ph) + 1j * np.sin(ph))
+            return z.real, z.imag
+
+        rng = np.random.default_rng(seed)
+        n = len(coords)
+        w = {"unit": np.ones(n), "real": rng.normal(size=n),
+             "complex": rng.normal(size=n) + 1j * rng.normal(size=n)}[weights]
+        wps = WeightedPointSet(1, coords, w)
+        x, w = wps.points, wps.weights
+        box = Box([-41.0], [41.0])
+        sp = scan_spectrum(wps, box, xis)
+        for e in sp.entries:
+            xi = np.array(e.xi)
+            re, im = parts(x, w, xi)
+            want = complex(math.fsum(re), math.fsum(im)) / box.volume
+            got = fourier_average(wps, box, xi).value
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+            assert e.intensity.hex() == (abs(want) ** 2).hex()
+
+        # a patch whose raw representatives are the coordinates themselves
+        keys = np.arange(1, n + 1)[:, None]
+        patch = AutocorrelationPatch((keys, w, x, np.zeros((n, 1))), 7.5, 1e-9, box.volume, None, box, n)
+        near = Box([-2.0], [2.0])
+        pos, neg = near.contains(x), near.contains(-x)
+        for xi in np.array(xis)[:, None]:
+            re, _ = parts(x, w, xi)
+            want = math.fsum([7.5] + (2.0 * re).tolist()) / box.volume
+            assert intensity_from_autocorr(patch, xi).hex() == want.hex()
+            sel = pos | neg
+            terms = [7.5] + (re[sel] * (pos[sel].astype(np.int8) + neg[sel])).tolist()
+            want = math.fsum(terms) / near.volume
+            assert intensity_from_autocorr(patch, xi, averaging_box=near).hex() == want.hex()
 
 
 @st.composite
@@ -627,7 +708,7 @@ class TestIntensityFromAutocorr:
         exact_sum = diffraction._exact_sum
         for xi in np.resize(xis, (len(xis) // dim, dim)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(diffraction, "_exact_sum", lambda x: sizes.append(len(x)) or exact_sum(x))
+                mp.setattr(diffraction, "_exact_sum", lambda x, **kw: sizes.append(len(x)) or exact_sum(x, **kw))
                 got = intensity_from_autocorr(patch, xi, averaging_box=box)
             z = coeffs[sel] * np.exp(-2j * np.pi * (reps[sel] @ xi))
             assert got.hex() == (exact_sum(z.real) / denom).hex()

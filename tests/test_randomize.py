@@ -7,6 +7,7 @@ from scipy.integrate import trapezoid
 from quasidiff import (
     Box,
     DisplacementDist,
+    NumericalDiagnosticError,
     RandomModel,
     ValidationError,
     apply_model,
@@ -34,6 +35,19 @@ class TestDisplacementDist:
             DisplacementDist("two_point")
         with pytest.raises(ValidationError):
             DisplacementDist("table", atoms=())
+
+    @pytest.mark.parametrize("kind", ["uniform_interval", "two_point"])
+    @pytest.mark.parametrize("a", [np.inf, np.nan, -np.inf])
+    def test_half_width_must_be_finite(self, kind, a):
+        with pytest.raises(ValidationError, match="finite"):
+            DisplacementDist(kind, a=a)
+
+    def test_sample_width_must_not_overflow(self):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        with pytest.raises(ValidationError, match="2a overflows"):
+            DisplacementDist("uniform_interval", a=1e308).sample(3, 1, rng)
+        t = DisplacementDist("two_point", a=1e308).sample(4, 1, rng)  # no width to overflow
+        assert set(np.abs(t).ravel()) == {1e308}
 
     def test_table_probabilities(self):
         with pytest.raises(ValidationError, match="sum"):
@@ -102,6 +116,16 @@ class TestCharFn:
             DisplacementDist("two_point", a=0.3),
         ):
             assert char_fn(d, [0.0]) == pytest.approx(1.0)
+
+    def test_overflowing_phase(self):
+        # uniform: |sin(v)/v| <= 1/|v| rounds to 0; elsewhere the cosine is undefined
+        assert char_fn(DisplacementDist("uniform_interval", a=1e308), [1.0, 0.0]) == 0.0
+        assert char_fn(DisplacementDist("uniform_interval", a=1e308), [0.0]) == 1.0
+        for d in (DisplacementDist("two_point", a=1e308),
+                  DisplacementDist("table", atoms=(((1e308,), 0.5), ((-1e308,), 0.5)))):
+            with pytest.raises(NumericalDiagnosticError, match="overflows"):
+                char_fn(d, [1.0])
+            assert char_fn(d, [0.0]) == 1.0
 
     @given(st.floats(-5.0, 5.0), st.floats(0.01, 2.0))
     @settings(max_examples=60, deadline=None)
