@@ -53,7 +53,7 @@ def _exact_sum(x: np.ndarray, scratch: bool = False) -> float:
         q -= s
         sums.append(float(q.sum()))
         r = np.subtract(r, q, out=r if scratch else None)
-        scratch = True
+        scratch = True  # r is a buffer of its own from here on
         if not r.any():
             return math.fsum(sums)
         e += m - 52
