@@ -72,7 +72,7 @@ _GRID_CAP = 10**6
 _CUBE_CAP = 1000
 # most radii a lo..hi range may expand to
 _RADII_CAP = 10**4
-# most letters a generated word may have (gen substitution, ww, check lr)
+# most letters a word may have (gen substitution; ww and check lr, generated or read)
 _LETTER_CAP = 10**7
 # most midpoint-rule nodes, --quad ** d_int, per deformed amplitude
 _QUAD_CAP = 10**7
@@ -297,7 +297,7 @@ def _load_substitution(args: argparse.Namespace) -> Substitution:
 
 
 def _letters(n: int) -> int:
-    """n, the length of a word to generate; over _LETTER_CAP it raises ResourceLimitError."""
+    """n, the length of a word to generate or read; over _LETTER_CAP it raises ResourceLimitError."""
     if n > _LETTER_CAP:
         raise ResourceLimitError(f"a word of {n} letters is over {_LETTER_CAP}")
     return n
@@ -311,7 +311,9 @@ def _resolve_word(args: argparse.Namespace, min_letters: int = 1) -> tuple[str, 
     """
     if getattr(args, "word_file", None):
         with _invalid(f"cannot read word file {args.word_file}"):
-            return Path(args.word_file).read_text().strip(), args.word_file
+            word = Path(args.word_file).read_text().strip()
+        _letters(len(word))
+        return word, args.word_file
     if getattr(args, "rules", None):
         s = _load_substitution(args)
         n = _letters(max(args.length, min_letters))

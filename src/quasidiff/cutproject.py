@@ -234,6 +234,9 @@ def _box_corners(box: Box) -> np.ndarray:
     return corners
 
 
+# bounds past the float range overflow to inf or nan without a warning; the
+# cap check then fails on them and raises ResourceLimitError
+@np.errstate(over="ignore", invalid="ignore")
 def _enumerate_preimages(mat: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int) -> np.ndarray:
     """Integer vectors q with mat @ q in the half-open box [lo, hi).
 

@@ -9,6 +9,18 @@ exactly by Karp-Miller-Rosenberg doubling, which also classes observable blocks.
 Factor names are held in the narrowest unsigned type that fits them, and each
 sort packs a name with its position into one word (_kernels._lexorder): on
 words with few factors (Sturmian words have r + 1 of length r) a uint32 word.
+
+The classes of length-r factors are not sorted again at every radius. Within
+a run of consecutive radii they are stepped from r to r + 1. Only a class
+whose factor is right special (followed by two different letters) splits, and
+then its suffix one letter shorter is right special too (Cassaigne, Bull.
+Belg. Math. Soc. 4, 1997). So the only classes tested are those holding a
+start just before a start of the classes that split at the last step; on a
+Sturmian word one class splits per radius (Morse and Hedlund, Amer. J. Math.
+62, 1940). The classes are seeded, from a KMR key and one sort, at the first
+radius of every run, and again wherever the classes to test hold more than a
+quarter of the starts, as on random words at small radii, where a sort costs
+less.
 """
 
 from __future__ import annotations
@@ -292,8 +304,10 @@ def _pair_key(rank: np.ndarray, classes: int, shift: int) -> np.ndarray:
 
 
 def _factor_classes(word: str, radii):
-    """Yield (r, key) for each distinct r in radii, in increasing order; key[i]
-    names the length-r factor at start i exactly (equal keys, equal factors).
+    """Yield (r, key) for each r in radii, which must increase; key[i] names
+    the length-r factor at start i exactly (equal keys, equal factors), and
+    ranks it lexicographically. radii is read one radius per key taken, so a
+    caller may choose the next radius after it has used the last key.
 
     Karp-Miller-Rosenberg naming: rank[i] names the length-w factor at i for
     w a power of two, and doubling w ranks the pairs (rank[i], rank[i + w]).
@@ -302,46 +316,185 @@ def _factor_classes(word: str, radii):
     current level is held. Ranks and pair keys are stored in the narrowest
     unsigned type that holds them (_rank, _pair_key), and _lexorder sorts them
     packed with their positions in uint32 words while both fit in 32 bits (on
-    a 2e5-letter word, keys below 2**14), in uint64 words past that.
+    a 2e5-letter word, keys below 2**14), in uint64 words past that. This is
+    the seeder of check_linear_repetitivity, which steps its classes from one
+    radius to the next (_Classes) and sorts a key only where stepping would
+    cost more.
     """
     codes = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
     rank, first = _rank(codes)
+    del codes
     classes, w = len(first), 1
-    for r in sorted(set(radii)):
+    for r in radii:
         while 2 * w <= r:
             rank, first = _rank(_pair_key(rank, classes, w))
             classes, w = len(first), 2 * w
         yield r, _pair_key(rank, classes, r - w)
 
 
-def _max_gap(key: np.ndarray, letters: int, r: int) -> int:
-    """Largest gap between consecutive starts of equal length-r factors (equal
-    keys), or from a word end to a factor's first or last start.
+def _spans(starts: np.ndarray, heads: np.ndarray):
+    """(first, last, gap) of the ascending runs of starts that begin at the
+    indices heads: each run's first and last start and its largest gap between
+    consecutive starts (0 for a run of one)."""
+    gaps = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=gaps[1:])
+    gaps[heads] = 0
+    ends = np.append(heads[1:], heads.dtype.type(len(starts)))
+    ends -= ends.dtype.type(1)
+    return starts[heads], starts[ends], np.maximum.reduceat(gaps, heads)
 
-    One stable sort of the key (_lexorder), which keeps the starts of equal
-    factors increasing.
+
+# a step whose classes to test hold more than this share of the starts sorts
+# the key of the next radius instead (_Classes.step); chosen by measurement
+_SEED_SHARE = 0.25
+# the last start of a class that is gone: above every live class's last start
+_GONE = np.iinfo(np.int32).max
+
+
+class _Classes:
+    """The classes of equal length-r factors of a word, stepped from r to r + 1.
+
+    order lists the starts class by class, ascending within each class: class
+    c holds order[begin[c] : begin[c] + size[c]], and first[c], last[c] and
+    gap[c] are its first and last starts and its largest gap between
+    consecutive starts. cls[i] is the class of start i. split lists the
+    classes whose length-(r - 1) prefix class split on the way to r, and q
+    their starts when a step made them. The per-class arrays grow by the
+    parts of split classes. A class that is gone, split or left empty, is
+    named by no start and has first 0, gap 0 and last _GONE, so it sets no
+    constant.
+
+    A seed sorts the KMR key of radius r once (_lexorder). That keeps the
+    starts of equal factors ascending and puts the classes in lexicographic
+    order, so the classes with one length-(r - 1) prefix are neighbours, and
+    prev, which names the length-(r - 1) factors, tells which prefix classes
+    split. With prev None the seed only gives the constant. The first step
+    builds cls and the statistics, and from then on positions and per-class
+    arrays are int32; names is the key until then, and cls after.
     """
-    starts, head = _lexorder([key])
-    last = np.append(head[1:], True)
-    # a step from one factor's last start to the next factor's first start is
-    # at most that first start, so it never beats the second term
-    return max(
-        int(np.diff(starts).max(initial=0)),
-        int(starts[head].max()),
-        letters - r - int(starts[last].min()),
-    )
+
+    def __init__(self, codes: np.ndarray, r: int, key: np.ndarray, prev: np.ndarray | None):
+        self.order, head = _lexorder([key])
+        self.codes, self.r, self.names = codes, r, key
+        self.begin = np.flatnonzero(head)
+        self.size = np.diff(self.begin, append=len(head))
+        self.cls = self.first = self.last = self.gap = None
+        # the seed's constant; a step from one class's last start to the next
+        # one's first start is at most that first start, so it never beats the
+        # first-start term
+        firsts = self.order[self.begin]
+        # the least last start: each class but the last ends just before the next head
+        last = min(int(self.order[self.begin[1:] - 1].min(initial=len(head))), int(self.order[-1]))
+        self.value = max(int(np.diff(self.order).max(initial=0)), int(firsts.max()), len(codes) - r - last) / r
+        if prev is not None:
+            named = prev[firsts]
+            same = np.zeros(len(named) + 1, bool)
+            np.equal(named[1:], named[:-1], out=same[1:-1])
+            self.split, self.q = np.flatnonzero(same[1:] | same[:-1]), None
+
+    def constant(self) -> float:
+        """The largest return gap of the length-r factors over r, counting the
+        gaps from the word's ends to a factor's first and last start."""
+        if self.gap is None:
+            return self.value
+        n, r = len(self.codes), self.r
+        return max(int(self.gap.max()), int(self.first.max()), n - r - int(self.last.min())) / r
+
+    def _members(self, classes: np.ndarray):
+        """(lens, offsets, slots) of the given classes: their sizes, the index
+        in slots where each one's slots begin, and the slots of order that
+        they hold, class by class."""
+        lens = self.size[classes]
+        offsets = np.cumsum(lens) - lens
+        slots = np.repeat(self.begin[classes] - offsets, lens) + np.arange(int(lens.sum()))
+        return lens, offsets, slots
+
+    def step(self) -> bool:
+        """Move to radius r + 1 and return True; or return False, with the
+        state unchanged, when the classes to test hold more than _SEED_SHARE
+        of the starts, and a seed at r + 1 costs less.
+
+        A class splits only if its factor is right special (followed by two
+        different letters), and then so is its suffix one letter shorter
+        (Cassaigne 1997), whose class split on the way to r. So the classes to
+        test are those holding q - 1 for the starts q of the classes in split.
+        i -> i + 1 maps their starts into those of split, give or take one at
+        each end of the word, so the size of split decides. The start n - r,
+        whose next factor would run past the word, leaves the tail of its
+        class. A class that splits is partitioned stably by the letter at
+        start + r; each part is a new class with its own statistics, and
+        every other class keeps its own.
+        """
+        n, r, size = len(self.codes), self.r, self.size
+        if size[self.split].sum() > _SEED_SHARE * (n - r):
+            return False
+        if self.cls is None:  # the seed's classes, held in int32 from here on
+            self.order, self.begin, size = (a.astype(np.int32, copy=False) for a in (self.order, self.begin, size))
+            self.first, self.last, self.gap = _spans(self.order, self.begin)
+            self.cls = np.empty(len(self.order), np.int32)
+            self.cls[self.order] = np.repeat(np.arange(len(size), dtype=np.int32), size)
+            self.names, self.size = self.cls, size
+        order = self.order
+        q = self.q if self.q is not None else np.take(order, self._members(self.split)[2])
+        near = np.zeros(len(size), bool)
+        near[self.cls[q[q > 0] - np.int32(1)]] = True
+        end = np.int32(n - r)
+        c = self.cls[end]
+        size[c] -= 1
+        if size[c] == 0:
+            self.first[c], self.last[c], self.gap[c] = 0, _GONE, 0
+        else:
+            b = self.begin[c]
+            self.last[c] = order[b + size[c] - 1]
+            if self.gap[c] == end - self.last[c]:
+                self.gap[c] = np.diff(order[b : b + size[c]]).max(initial=0)
+        self.r = r + 1
+        test = np.flatnonzero(near & (size > 1))
+        lens, offsets, slots = self._members(test)
+        starts = np.take(order, slots)
+        after = np.take(self.codes, starts + np.int32(r))
+        turns = np.empty(len(after), bool)
+        np.not_equal(after[1:], after[:-1], out=turns[1:])
+        turns[offsets] = False
+        splits = np.logical_or.reduceat(turns, offsets) if len(test) else turns[:0]
+        if not splits.any():
+            self.split, self.q = test[:0], starts[:0]
+            return True
+        keep = np.repeat(splits, lens)
+        slots, starts, after, lens = slots[keep], starts[keep], after[keep], lens[splits]
+        part, head = _lexorder([np.repeat(np.arange(len(lens), dtype=np.int32), lens), after])
+        starts = starts[part]
+        order[slots] = starts
+        heads = np.flatnonzero(head).astype(np.int32)
+        first, last, gap = _spans(starts, heads)
+        parts = np.diff(heads, append=np.int32(len(starts)))
+        gone = test[splits]
+        self.first[gone], self.last[gone], self.gap[gone] = 0, _GONE, 0
+        self.split, self.q = np.arange(len(size), len(size) + len(heads)), starts
+        self.cls[starts] = np.repeat(self.split.astype(np.int32), parts)
+        self.begin = np.concatenate([self.begin, slots[heads].astype(np.int32)])
+        self.size = np.concatenate([size, parts])
+        self.first = np.concatenate([self.first, first])
+        self.last = np.concatenate([self.last, last])
+        self.gap = np.concatenate([self.gap, gap])
+        return True
 
 
 def check_linear_repetitivity(word: str, radii) -> dict:
     """Maximal factor-recurrence gap, per radius, normalized by the radius.
 
-    For each R, the length-R factors are split into exact classes
-    (_factor_classes), the occurrence starts of each class are collected and
-    the largest gap between consecutive starts is recorded, together with the
-    censored boundary gaps (distance from the word ends to the first/last
-    occurrence). constants[R] = max gap / R, in the order of radii (repeats
-    included); C_estimate is the max over radii. Linearly repetitive words
-    keep C_estimate bounded; random words push it up with R.
+    For each R, the length-R factors are split into exact classes, the
+    occurrence starts of each class are collected and the largest gap between
+    consecutive starts is recorded, together with the censored boundary gaps
+    (distance from the word ends to the first/last occurrence). constants[R] =
+    max gap / R, in the order of radii (repeats included); C_estimate is the
+    max over radii. Linearly repetitive words keep C_estimate bounded; random
+    words push it up with R.
+
+    The classes are seeded from the KMR key (_factor_classes) at the first
+    radius of every run of consecutive radii, and stepped from R to R + 1
+    within a run (_Classes.step), unless the classes to test hold more than
+    _SEED_SHARE of the starts: then the key of R + 1 is sorted instead.
     """
     radii = [int(r) for r in radii]
     if not radii or min(radii) < 1:
@@ -351,8 +504,23 @@ def check_linear_repetitivity(word: str, radii) -> dict:
         raise ValidationError(
             f"word length {len(word)} is below the adequacy bound 4 max(radii) = {need}"
         )
-    by_radius = {
-        r: _max_gap(key, len(word), r) / r for r, key in _factor_classes(word, radii)
-    }
+    codes = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
+    wanted = set(radii)
+    asked = []  # _factor_classes reads a radius only when its key is taken
+    keys = _factor_classes(word, iter(asked.pop, None))
+
+    def key(r):
+        asked.append(r)
+        return next(keys)[1]
+
+    by_radius, classes = {}, None
+    for r in sorted(wanted):
+        stepped = classes is not None and classes.r == r - 1
+        if not (stepped and classes.step()):
+            prev = None
+            if r + 1 in wanted:  # names of the length-(r - 1) factors; at r = 1 the empty word's
+                prev = classes.names if stepped else key(r - 1) if r > 1 else np.zeros(len(word), np.uint8)
+            classes = _Classes(codes, r, key(r), prev)
+        by_radius[r] = classes.constant()
     constants = [by_radius[r] for r in radii]
     return {"constants": constants, "C_estimate": float(max(constants))}

@@ -514,9 +514,9 @@ def min_separation(wps: WeightedPointSet) -> float:
 
 
 def _min_separation_raw(pts: np.ndarray) -> float:
-    if pts.shape[1] == 1:
-        return float(np.diff(pts[:, 0]).min())
     with np.errstate(under="ignore", over="ignore"):
+        if pts.shape[1] == 1:  # a gap past the float range rounds to inf
+            return float(np.diff(pts[:, 0]).min())
         h2 = _closest_pair(pts)
     if sys.float_info.min <= h2 < math.inf:  # the least square neither under- nor overflowed
         return math.sqrt(h2)

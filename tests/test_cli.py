@@ -140,6 +140,20 @@ class TestGen:
         assert run(*argv, "--output", str(tmp_path / "out")) == 3
         assert "candidate cap" in capsys.readouterr().err
 
+    def test_region_past_the_float_range_exit_code(self, tmp_path):
+        # the preimage bounds overflow to inf; with RuntimeWarnings as errors an
+        # overflow warning would end in a traceback and exit 1
+        script = (
+            "import sys; from quasidiff.cli import main\n"
+            "sys.exit(main(['gen', 'model-set', '--scheme', 'fibonacci', '--box=-1.7e308,1.7e308',\n"
+            "               '--output', 'out.json']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "candidate cap" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestPerturb:
     def test_percolate(self, tmp_path, lattice_file):
@@ -182,6 +196,16 @@ class TestPerturb:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_displace_collapsing_width_exit_code(self, tmp_path, capsys):
+        # every point moves to -1e308 or 1e308: the sorted gaps overflow (under
+        # errstate, as the 2D closest pair's squares do) and the duplicates exit 2
+        patch = tmp_path / "m50.json"
+        assert run("gen", "model-set", "--scheme", "fibonacci", "--box=0,50", "--output", str(patch)) == 0
+        assert run("perturb", "displace", "--input", str(patch), "--dist", "two_point:a=1e308",
+                   "--seed", "1", "--output", str(tmp_path / "out.json")) == 2
+        err = capsys.readouterr().err
+        assert "duplicate point" in err and "Traceback" not in err
 
     def test_missing_input_exit_code(self, tmp_path):
         assert run(
@@ -472,6 +496,37 @@ class TestCheck:
 
     def test_needs_word_source(self, capsys):
         assert run("check", "lr", "--radii", "1..4") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "lr", "--radii", "1..10"],
+        ["ww", "--alpha", "0.2", "--lengths", "5,10", "--offsets", "0,3"],
+    ], ids=["lr", "ww"])
+    def test_word_file_letter_cap(self, argv, tmp_path, monkeypatch, capsys):
+        from quasidiff import cli, named_substitution, substitution_fixed_point
+
+        monkeypatch.setattr(cli, "_LETTER_CAP", 40)
+        word = substitution_fixed_point(named_substitution("fibonacci"), 41)
+        path = tmp_path / "word.txt"
+        for n, code in ((40, 0), (41, 3)):
+            path.write_text(f"\n  {word[:n]}\n")  # the cap counts the stripped word
+            assert run(*argv, "--word-file", str(path), "--output", str(tmp_path / "out.json")) == code
+        err = capsys.readouterr().err
+        assert "a word of 41 letters is over 40" in err and "Traceback" not in err
+
+    def test_word_file_over_the_cap_builds_no_array(self, tmp_path, monkeypatch, capsys):
+        from quasidiff import cli
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("a per-letter array was built")
+
+        monkeypatch.setattr(cli, "_LETTER_CAP", 40)
+        monkeypatch.setattr(cli, "check_linear_repetitivity", no_call)
+        monkeypatch.setattr(cli, "ww_report", no_call)
+        path = tmp_path / "word.txt"
+        path.write_text("ab" * 30)
+        assert run("check", "lr", "--radii", "1..5", "--word-file", str(path)) == 3
+        assert run("ww", "--alpha", "0.2", "--lengths", "5", "--word-file", str(path)) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestErrors:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from quasidiff import (
     ww_sup_over_frequencies,
     ww_sup_over_offsets,
 )
+from quasidiff import ergodic
 from quasidiff.ergodic import _factor_classes, _observable_values
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
@@ -241,13 +244,24 @@ class TestLinearRepetitivity:
         out = check_linear_repetitivity(word, [4, 8, 16])
         assert out["constants"][-1] > 4 * out["constants"][0]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     # 17 letters: the radius-1 key needs 17**2 - 1 = 288 > 255, one step past uint8
-    @given(st.text(alphabet="abcdefghijklmnopq", min_size=4, max_size=300))
-    def test_constants_match_a_dictionary_scan(self, word):
-        radii = list(range(1, len(word) // 4 + 1))
-        want = []
-        for r in radii:
+    @given(
+        st.sampled_from([1, 2, 3, 4, 17]).flatmap(
+            lambda k: st.text(alphabet="abcdefghijklmnopq"[:k], min_size=4, max_size=300)
+        ),
+        st.data(),
+    )
+    def test_constants_match_a_dictionary_scan(self, word, data):
+        # a dense range steps from radius to radius; a list with gaps, repeats and
+        # any order seeds at the start of every run of consecutive radii
+        top = len(word) // 4
+        radii = data.draw(st.one_of(
+            st.just(list(range(1, top + 1))),
+            st.lists(st.integers(1, top), min_size=1, max_size=2 * top),
+        ))
+        want = {}
+        for r in set(radii):
             starts = {}
             for i in range(len(word) - r + 1):
                 starts.setdefault(word[i : i + r], []).append(i)
@@ -255,8 +269,25 @@ class TestLinearRepetitivity:
                 max(s[0], len(word) - r - s[-1], *(b - a for a, b in zip(s, s[1:])))
                 for s in starts.values()
             )
-            want.append(gap / r)
-        assert check_linear_repetitivity(word, radii)["constants"] == want
+            want[r] = gap / r
+        # seeding at every radius that splits a class, at the default share, and
+        # stepping all the way once seeded
+        for share in (0.0, ergodic._SEED_SHARE, 2.0):
+            with mock.patch.object(ergodic, "_SEED_SHARE", share):
+                assert check_linear_repetitivity(word, radii)["constants"] == [want[r] for r in radii]
+
+    @pytest.mark.parametrize("share", [0.0, 2.0])
+    @pytest.mark.parametrize("word, radii, constants", [
+        # stepped from radius 1: after start 7 leaves, the class of "a" holds 4
+        # and 5 and splits into "aa" and "ab", whose first start 5 sets the constant
+        ("bbbbaaba", [1, 2], [4.0, 2.5]),
+        # the class of "b" splits into "ba" {0} and "bb" {10}, whose start 10
+        # then leaves: the gap 10 of "b" must leave with the class
+        ("baaaaaaaaabb", [1, 2, 3], [10.0, 5.0, 3.0]),
+    ])
+    def test_small_steps(self, share, word, radii, constants, monkeypatch):
+        monkeypatch.setattr(ergodic, "_SEED_SHARE", share)
+        assert check_linear_repetitivity(word, radii)["constants"] == constants
 
     @pytest.mark.parametrize("shift", [0, 777, 31337])
     def test_fibonacci_constants_match_the_recurrence_function(self, fib_word, shift):
@@ -347,6 +378,41 @@ class TestFactorKeyWidths:
             if r >= 9:
                 assert len(np.unique(key)) > 2**16
         assert check_linear_repetitivity(word, radii)["constants"] == _int64_constants(word, radii)
+
+    def test_random_binary_word_reseeds_then_steps(self, monkeypatch):
+        # on a random binary word nearly every class splits at small radii, so the
+        # classes to test hold most starts and each radius sorts its own key; past
+        # about log2(n) radii few classes split and the classes step
+        word = _word(np.random.default_rng(2).integers(0, 2, 200000), ord("a"))
+        radii = list(range(1, 25))
+        steps = []
+        step = ergodic._Classes.step
+
+        def spy(self):
+            steps.append(step(self))
+            return steps[-1]
+
+        monkeypatch.setattr(ergodic._Classes, "step", spy)
+        assert check_linear_repetitivity(word, radii)["constants"] == _int64_constants(word, radii)
+        assert len(steps) == len(radii) - 1
+        assert 5 <= steps.count(False) and 2 <= steps.count(True)
+
+    def test_fibonacci_sorts_fewer_than_once_per_radius(self, fib_word, monkeypatch):
+        # each radius sorted every start: 100 sorts for 1..100, and 7 for the
+        # KMR ranks, 107 times the word in all. Now the ranks and a few seeds
+        # sort all starts, and the steps sort only the classes that split
+        rows = []
+        lexorder = ergodic._lexorder
+
+        def counted(cols):
+            rows.append(len(cols[0]))
+            return lexorder(cols)
+
+        monkeypatch.setattr(ergodic, "_lexorder", counted)
+        word = fib_word[:100000]
+        check_linear_repetitivity(word, range(1, 101))
+        assert sum(1 for n in rows if n > len(word) - 100) <= 10
+        assert sum(rows) < 15 * len(word)
 
     def test_fibonacci_keys_fit_one_uint32_word(self):
         # on the Fibonacci word r + 1 classes of length-r factors keep every key
