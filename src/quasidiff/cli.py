@@ -672,6 +672,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"resource limit: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 3
     except NumericalDiagnosticError as exc:
         print(f"numerical diagnostic: {exc}", file=sys.stderr)
         return 4

@@ -227,24 +227,41 @@ class AutocorrelationPatch:
         return float(self._half[3].max(initial=0.0))
 
 
-def _aggregate_bins(run: tuple, m: int, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray,
-                    lead: np.ndarray | None = None) -> int:
+def _new_run(rows: int, dim: int, old: tuple = (), held: int = 0) -> tuple:
+    """A run of rows rows, with rows :held of the run old copied into it.
+
+    Per row, a run holds a bin's key, pairwise sum of products, first raw
+    difference and per-axis raw minimum and maximum.
+    """
+    run = (np.empty((rows, dim), np.int64), np.empty(rows, complex), *(np.empty((rows, dim)) for _ in range(3)))
+    for a, b in zip(run, old):
+        a[:held] = b[:held]
+    return run
+
+
+def _aggregate_bins(run: tuple, m: int, cap: int, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray,
+                    lead: np.ndarray | None = None, every_pair: bool = False) -> tuple[tuple, int]:
     """Write one batch of quantized pairs as bins, in key order, into rows m, ... of run.
 
-    Per row, run holds a bin's key, pairwise sum of products, first raw
-    difference and per-axis raw minimum and maximum. Returns the row after the
-    last bin. With a lead column the pairs are grouped by (lead, key), so the
-    bins of each lead value lie end to end and may repeat a key.
+    Returns the run and the row after the last bin. With a lead column the
+    pairs are grouped by (lead, key), so the bins of each lead value lie end
+    to end and may repeat a key. A run too short for the bins is replaced by
+    a copy with more rows, at most cap: every row of cap if the run was
+    empty, cap counts every pair (every_pair) and at least half the batch's
+    pairs are bins of their own, else twice the rows now needed.
     """
     order, head = _lexorder([lead, *qkeys.T] if lead is not None else qkeys.T)
     starts = np.flatnonzero(head)
+    if m + len(starts) > len(run[0]):
+        distinct = every_pair and not len(run[0]) and 2 * len(starts) >= len(order)
+        run = _new_run(cap if distinct else min(cap, 2 * (m + len(starts))), qkeys.shape[1], run, m)
     keys, sums, reps, mins, maxs = (a[m : m + len(starts)] for a in run)
     if len(starts) == len(order):  # a pair per bin: reduceat would copy each row
         np.take(qkeys, order, axis=0, out=keys, mode="clip")
         np.take(prod, order, out=sums, mode="clip")
         np.take(raw, order, axis=0, out=reps, mode="clip")
         mins[...] = maxs[...] = reps
-        return m + len(starts)
+        return run, m + len(starts)
     np.take(qkeys, order[starts], axis=0, out=keys, mode="clip")
     for part, out in ((prod.real, sums.real), (prod.imag, sums.imag)):
         np.add.reduceat(part[order], starts, out=out)
@@ -252,7 +269,7 @@ def _aggregate_bins(run: tuple, m: int, qkeys: np.ndarray, raw: np.ndarray, prod
     np.take(ds, starts, axis=0, out=reps, mode="clip")
     np.minimum.reduceat(ds, starts, out=mins)
     np.maximum.reduceat(ds, starts, out=maxs)
-    return m + len(starts)
+    return run, m + len(starts)
 
 
 def _merge_runs(run: tuple, m: int) -> int:
@@ -270,12 +287,16 @@ def _merge_runs(run: tuple, m: int) -> int:
     ss = sums[order]
     total = ss[starts]
     np.add.at(total, np.cumsum(head)[~head] - 1, ss[~head])
+    del ss
     first = order[starts]
     seen = np.argsort(first)
     k, rows = len(starts), first[seen]
-    keys[:k], sums[:k], reps[:k], mins[:k], maxs[:k] = (
-        keys[rows], total[seen], reps[rows],
-        np.minimum.reduceat(mins[order], starts)[seen], np.maximum.reduceat(maxs[order], starts)[seen])
+    # a column at a time, so that one column's gathered copy is alive at once
+    keys[:k] = keys[rows]
+    sums[:k] = total[seen]
+    reps[:k] = reps[rows]
+    mins[:k] = np.minimum.reduceat(mins[order], starts)[seen]
+    maxs[:k] = np.maximum.reduceat(maxs[order], starts)[seen]
     return k
 
 
@@ -370,10 +391,17 @@ def autocorrelation(
     (offset, key), so its bins are its offsets' bins end to end. One more
     sort merges the rows in place, adding each bin's partial sums in offset
     or batch order; only a single kd-tree batch is merged already. The run
-    has min(pairs, _BIN_BUDGET + one block) rows, of which only those written
-    take memory, and is merged whenever it holds over _BIN_BUDGET. The patch
-    stores only the bins and the diagonal; their mirrors at -q are the exact
-    conjugates.
+    is merged whenever it holds over _BIN_BUDGET, so it never needs more
+    than min(pairs, _BIN_BUDGET + one block) rows. The first batch sets how
+    the run is reserved: without a radius, if its bins are at least half its
+    pairs, all the cap's rows are reserved at once; otherwise, and always
+    under a radius, which may keep few of the pairs, the run starts at twice
+    the first batch's bins and, when a batch would overflow it, is copied
+    into one of twice the rows it needs, up to the same cap. A run that the
+    merged bins fill at least half is the patch, its columns sliced, not
+    copied; a mostly empty one is copied so that its rows are freed. The
+    patch stores only the bins and the diagonal; their mirrors at -q are the
+    exact conjugates.
     """
     if box.dim != wps.dim:
         raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
@@ -401,13 +429,11 @@ def autocorrelation(
 
     dim, vol = wps.dim, box.volume
     # a batch has at most one block of pairs, after at most _BIN_BUDGET rows
-    rows = min(n * (n - 1) // 2, _BIN_BUDGET + max(_PAIR_BLOCK, n - 1))
-    run = (np.empty((rows, dim), np.int64), np.empty(rows, complex),
-           *(np.empty((rows, dim)) for _ in range(3)))
-    held, merged = 0, False
+    cap = min(n * (n - 1) // 2, _BIN_BUDGET + max(_PAIR_BLOCK, n - 1))
+    run, held, merged = _new_run(0, dim), 0, False
     for d, prod, lead in _pair_batches(pts, w, max_radius):
         merged = not held and lead is None  # a single kd-tree batch repeats no key
-        held = _aggregate_bins(run, held, _quantize(d, bin_epsilon), d, prod, lead)
+        run, held = _aggregate_bins(run, held, cap, _quantize(d, bin_epsilon), d, prod, lead, max_radius is None)
         if held > _BIN_BUDGET:  # the rows may repeat a bin: count the distinct ones
             held, merged = _merge_runs(run, held), True
             if held > _BIN_BUDGET:
@@ -417,8 +443,8 @@ def autocorrelation(
                 )
     if not merged:
         held = _merge_runs(run, held)
-    # a copy frees the rows the patch does not use
-    qkeys, coeffs, reps, rmin, spreads = (a[:held] if held == rows else a[:held].copy() for a in run)
+    # a run at least half full is the patch; a copy frees a mostly empty one
+    qkeys, coeffs, reps, rmin, spreads = (a[:held] if 2 * held >= len(a) else a[:held].copy() for a in run)
     del run
     spreads -= rmin
     # Python's complex / float (before 3.14), signed zeros included: (re + im*0.0,

@@ -77,7 +77,7 @@ def _observable_values(word: str, f: Observable, n: int, offset: int) -> np.ndar
     one table read per block class, at its first start, then one gather."""
     width = 2 * f.locality + 1
     span = word[offset : offset + n + width - 1]
-    _, key = next(_factor_classes(span, [width]))
+    _, key = next(_factor_classes(_letters(span), [width]))
     inverse, first = _rank(key)
     try:
         table = np.array([f.table[span[s : s + width]] for s in first.tolist()], dtype=complex)
@@ -303,11 +303,20 @@ def _pair_key(rank: np.ndarray, classes: int, shift: int) -> np.ndarray:
     return key
 
 
-def _factor_classes(word: str, radii):
+def _letters(word: str) -> np.ndarray:
+    """The level-1 KMR ranks of the letters of word (_rank of their code points):
+    rank[i] counts the distinct letters below word[i], in the narrowest unsigned
+    type that holds them, uint8 up to 256 letters. They order and compare
+    letters as the code points do."""
+    return _rank(np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32))[0]
+
+
+def _factor_classes(letters: np.ndarray, radii):
     """Yield (r, key) for each r in radii, which must increase; key[i] names
     the length-r factor at start i exactly (equal keys, equal factors), and
-    ranks it lexicographically. radii is read one radius per key taken, so a
-    caller may choose the next radius after it has used the last key.
+    ranks it lexicographically. letters are a word's letter ranks (_letters).
+    radii is read one radius per key taken, so a caller may choose the next
+    radius after it has used the last key.
 
     Karp-Miller-Rosenberg naming: rank[i] names the length-w factor at i for
     w a power of two, and doubling w ranks the pairs (rank[i], rank[i + w]).
@@ -321,10 +330,7 @@ def _factor_classes(word: str, radii):
     radius to the next (_Classes) and sorts a key only where stepping would
     cost more.
     """
-    codes = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
-    rank, first = _rank(codes)
-    del codes
-    classes, w = len(first), 1
+    rank, classes, w = letters, int(letters.max()) + 1, 1
     for r in radii:
         while 2 * w <= r:
             rank, first = _rank(_pair_key(rank, classes, w))
@@ -354,6 +360,8 @@ _GONE = np.iinfo(np.int32).max
 class _Classes:
     """The classes of equal length-r factors of a word, stepped from r to r + 1.
 
+    letters is the word as its letter ranks (_letters), which a step reads
+    one letter past each start it tests.
     order lists the starts class by class, ascending within each class: class
     c holds order[begin[c] : begin[c] + size[c]], and first[c], last[c] and
     gap[c] are its first and last starts and its largest gap between
@@ -373,9 +381,9 @@ class _Classes:
     arrays are int32; names is the key until then, and cls after.
     """
 
-    def __init__(self, codes: np.ndarray, r: int, key: np.ndarray, prev: np.ndarray | None):
+    def __init__(self, letters: np.ndarray, r: int, key: np.ndarray, prev: np.ndarray | None):
         self.order, head = _lexorder([key])
-        self.codes, self.r, self.names = codes, r, key
+        self.letters, self.r, self.names = letters, r, key
         self.begin = np.flatnonzero(head)
         self.size = np.diff(self.begin, append=len(head))
         self.cls = self.first = self.last = self.gap = None
@@ -385,7 +393,7 @@ class _Classes:
         firsts = self.order[self.begin]
         # the least last start: each class but the last ends just before the next head
         last = min(int(self.order[self.begin[1:] - 1].min(initial=len(head))), int(self.order[-1]))
-        self.value = max(int(np.diff(self.order).max(initial=0)), int(firsts.max()), len(codes) - r - last) / r
+        self.value = max(int(np.diff(self.order).max(initial=0)), int(firsts.max()), len(letters) - r - last) / r
         if prev is not None:
             named = prev[firsts]
             same = np.zeros(len(named) + 1, bool)
@@ -397,7 +405,7 @@ class _Classes:
         gaps from the word's ends to a factor's first and last start."""
         if self.gap is None:
             return self.value
-        n, r = len(self.codes), self.r
+        n, r = len(self.letters), self.r
         return max(int(self.gap.max()), int(self.first.max()), n - r - int(self.last.min())) / r
 
     def _members(self, classes: np.ndarray):
@@ -425,7 +433,7 @@ class _Classes:
         start + r; each part is a new class with its own statistics, and
         every other class keeps its own.
         """
-        n, r, size = len(self.codes), self.r, self.size
+        n, r, size = len(self.letters), self.r, self.size
         if size[self.split].sum() > _SEED_SHARE * (n - r):
             return False
         if self.cls is None:  # the seed's classes, held in int32 from here on
@@ -452,7 +460,7 @@ class _Classes:
         test = np.flatnonzero(near & (size > 1))
         lens, offsets, slots = self._members(test)
         starts = np.take(order, slots)
-        after = np.take(self.codes, starts + np.int32(r))
+        after = np.take(self.letters, starts + np.int32(r))
         turns = np.empty(len(after), bool)
         np.not_equal(after[1:], after[:-1], out=turns[1:])
         turns[offsets] = False
@@ -504,10 +512,10 @@ def check_linear_repetitivity(word: str, radii) -> dict:
         raise ValidationError(
             f"word length {len(word)} is below the adequacy bound 4 max(radii) = {need}"
         )
-    codes = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
+    letters = _letters(word)
     wanted = set(radii)
     asked = []  # _factor_classes reads a radius only when its key is taken
-    keys = _factor_classes(word, iter(asked.pop, None))
+    keys = _factor_classes(letters, iter(asked.pop, None))
 
     def key(r):
         asked.append(r)
@@ -520,7 +528,7 @@ def check_linear_repetitivity(word: str, radii) -> dict:
             prev = None
             if r + 1 in wanted:  # names of the length-(r - 1) factors; at r = 1 the empty word's
                 prev = classes.names if stepped else key(r - 1) if r > 1 else np.zeros(len(word), np.uint8)
-            classes = _Classes(codes, r, key(r), prev)
+            classes = _Classes(letters, r, key(r), prev)
         by_radius[r] = classes.constant()
     constants = [by_radius[r] for r in radii]
     return {"constants": constants, "C_estimate": float(max(constants))}

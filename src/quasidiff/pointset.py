@@ -41,8 +41,9 @@ _UNBRACKET = bytes.maketrans(b"[]", b"  ")
 # the "]" closing an array's last row, then the array's "]"; the "," between two rows
 _ARRAY_END = re.compile(rb"\][ \t\n\r]*\]")
 _ROW_SEP = re.compile(rb"[ \t\n\r]*,")
-# stands in for the points array while _parse_rows reads the rest of a text
-_HOLE = object()
+# the arrays _parse_rows cuts out of a text, each with the JSON constant that stands in
+# for it while json.loads reads the rest of the text, and the object that constant reads as
+_HOLES = {"points": ("NaN", object()), "weights": ("Infinity", object())}
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,7 @@ class WeightedPointSet:
         if raw is not None:
             if raw.shape != (len(pts), 2) and raw.size + len(pts):  # an empty patch may hold []
                 raise ValidationError("'weights' must be [[re, im], ...] matching points")
-            w = np.empty(len(pts), dtype=complex)
-            w.real, w.imag = raw.reshape(-1, 2).T
+            w = np.ascontiguousarray(raw).reshape(-1, 2).view(complex)[:, 0]  # (re, im) pairs, not copied
         return cls(dim, pts, w, dict(meta))
 
     def dump(self, fp) -> None:
@@ -221,33 +221,45 @@ def _read_json(fp, what: str) -> WeightedPointSet:
 
 
 def _parse_rows(data: bytes):
-    """json.loads(data), with its last "points" array read _READ_CHUNK bytes of whole rows
-    at a time into an (n, d) float array, so that only one chunk's numbers are ever Python
-    floats and no row is a list; None unless data is ASCII, that array is n >= 1 rows of
-    d >= 1 float (not integer) tokens, and the rest of data, with the constant NaN in place
-    of the array, is JSON holding no other NaN or Infinity and holds that NaN at "points"
-    of the object json.loads(data) gives or of its "pointset" (the key whose value
-    json.loads keeps)."""
-    key = data.rfind(b'"points": [')
-    if key < 0:
-        return None
-    start = key + len(b'"points": ')
-    got = _float_rows(data, start)
-    if got is None:
-        return None
-    rows, stop = got
-    rest = data[:start] + b"NaN" + data[stop:]
+    """json.loads(data), with its last "points" array, and its last "weights" array if it
+    has one, read _READ_CHUNK bytes of whole rows at a time into (n, d) float arrays, so
+    that only one chunk's numbers are ever Python floats and no row is a list; None unless
+    data is ASCII, each such array is n >= 1 rows of d >= 1 float (not integer) tokens, and
+    the rest of data, with the constant NaN in place of the points and Infinity in place of
+    the weights, is JSON holding no other NaN or Infinity and holds those constants at
+    "points" and "weights" of the object json.loads(data) gives or of its "pointset" (the
+    keys whose values json.loads keeps)."""
+    cuts = []  # (start, stop, name, rows) of each array cut out
+    for name in _HOLES:
+        key = b'"%s": [' % name.encode()
+        at = data.rfind(key)
+        if at < 0:
+            if name == "points":
+                return None
+            continue
+        got = _float_rows(data, at + len(key) - 1)
+        if got is None:
+            return None
+        cuts.append((at + len(key) - 1, got[1], name, got[0]))
+    cuts.sort(key=lambda cut: cut[0])  # disjoint: an array _float_rows takes holds no key
+    parts, p = [], 0
+    for start, stop, name, _ in cuts:
+        parts += [data[p:start], _HOLES[name][0].encode()]
+        p = stop
+    rest = b"".join(parts + [data[p:]])
     if not rest.isascii():
         return None
-    constants = []
+    holes, constants = dict(_HOLES.values()), []
     try:
-        obj = json.loads(rest.decode("ascii"), parse_constant=lambda name: constants.append(name) or _HOLE)
+        obj = json.loads(rest.decode("ascii"), parse_constant=lambda name: constants.append(name) or holes.get(name))
     except ValueError:
         return None
     rec = obj.get("pointset", obj) if isinstance(obj, dict) else None
-    if len(constants) != 1 or not isinstance(rec, dict) or rec.get("points") is not _HOLE:
+    if (len(constants) != len(cuts) or not isinstance(rec, dict)
+            or any(rec.get(name) is not _HOLES[name][1] for _, _, name, _ in cuts)):
         return None
-    rec["points"] = rows
+    for _, _, name, rows in cuts:
+        rec[name] = rows
     return obj
 
 
@@ -268,7 +280,7 @@ def _float_rows(data: bytes, start: int):
     if end is None:
         return None
     last = end.start() + 1  # just past the last row's "]"
-    blocks, p, template = [], start + 1, None
+    rows, i, p, template = None, 0, start + 1, None
     while p < last:
         q = last if p + _READ_CHUNK >= last else data.rfind(b"]", p, p + _READ_CHUNK) + 1
         sep = _ROW_SEP.match(data, q) if q < last else None
@@ -279,6 +291,8 @@ def _float_rows(data: bytes, start: int):
         skeleton = cells.translate(None, b"0")
         if template is None:  # the first row's; d = len(template) - 1
             template = b"[" + b"," * (skeleton.find(b"]") - 1) + b"]"
+            # a row for each "[": every chunk accepted counts its rows' brackets
+            rows = np.empty((data.count(b"[", p, last), len(template) - 1))
         k = skeleton.count(b"[")
         if skeleton + b"," != (template + b",") * k or cells[:1] != b"[" or cells.count(b"],[") != k - 1:
             return None
@@ -288,9 +302,10 @@ def _float_rows(data: bytes, start: int):
             return None
         if values.dtype != np.float64 or values.size != k * (len(template) - 1):
             return None
-        blocks.append(values.reshape(k, -1))
+        rows[i : i + k] = values.reshape(k, -1)
+        i += k
         p = sep.end() if sep else last
-    return np.concatenate(blocks), end.end()
+    return rows, end.end()
 
 
 def _no_integer(token: str):
@@ -302,7 +317,8 @@ def _numbers(v) -> np.ndarray:
     arr = np.asarray(v)
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"entries must be numbers, not {arr.dtype}")
-    if arr.ndim:  # np.asarray reads a boolean among numbers as 0 or 1: look at the rows holding one
+    if arr.ndim and not isinstance(v, np.ndarray):  # in a list, np.asarray reads a boolean
+        # among numbers as 0 or 1: look at the rows holding one
         hit = ((arr == 0) | (arr == 1)).any(axis=tuple(range(1, arr.ndim)))
         items = map(v.__getitem__, np.flatnonzero(hit).tolist())
         for _ in range(arr.ndim - 1):

@@ -18,7 +18,7 @@ def _runs(base, new, bad=()):
     """Synthetic pairs: metric t takes the values, q their negatives; pairs in bad fail on the new side."""
     def side(v, ok):
         return {"correct": ok, "failed": 0, "metrics": {"t": v, "q": -v}, "import_rss_mib": 40.0 + v,
-                "cpu_s": 2.0 * v, "steal_jiffies": int(10 * v), "other_cpu_s": 3.0 * v}
+                "run_vmhwm_mib": 50.0 + v, "cpu_s": 2.0 * v, "steal_jiffies": int(10 * v), "other_cpu_s": 3.0 * v}
 
     return [{"base": side(b, True), "new": side(n, i not in bad)} for i, (b, n) in enumerate(zip(base, new))]
 
@@ -45,6 +45,7 @@ def test_summary_verdicts(base, new, bad, verdict):
     assert rss["base"]["median"] == 40.0 + t["base"]["median"]
     assert rss["new"]["median"] == 40.0 + t["new"]["median"]
     assert summary["cpu_s"]["new"]["median"] == 2.0 * t["new"]["median"]
+    assert summary["run_vmhwm_mib"]["base"]["median"] == 50.0 + t["base"]["median"]
     assert summary["other_cpu_s"]["base"]["median"] == pytest.approx(3.0 * t["base"]["median"])
     line = bench_pairs._verdicts("w", summary)
     assert all(key in line for key in bench_pairs.UNGATED) and f"t {verdict}" in line
@@ -99,6 +100,39 @@ def test_other_cpu_seconds_between_two_stat_texts(monkeypatch):
     assert bench_pairs._host_load(before, None, 12.25) == {"steal_jiffies": None, "other_cpu_s": None}
 
 
+_STATUS = """Name:\tpython3
+State:\tS (sleeping)
+Pid:\t4242
+VmPeak:\t  512000 kB
+VmSize:\t  480000 kB
+VmHWM:\t   61440 kB
+VmRSS:\t   40960 kB
+Threads:\t1
+"""
+
+
+def test_vmhwm_reads_the_status_line(tmp_path):
+    assert bench_pairs._vmhwm_mib(_STATUS) == 60.0
+    # an exited process not yet waited for keeps a status file without memory lines
+    assert bench_pairs._vmhwm_mib("Name:\tpython3\nState:\tZ (zombie)\n") is None
+    (tmp_path / "4242").mkdir()
+    (tmp_path / "4242" / "status").write_text(_STATUS)
+    assert bench_pairs._read_vmhwm_mib(4242, tmp_path) == 60.0
+    assert bench_pairs._read_vmhwm_mib(4243, tmp_path) is None
+
+
+def test_run_vmhwm_leaves_out_the_launchers_memory(tmp_path):
+    # a run that holds 64 MiB reads above that, but below the 96 MiB its launcher
+    # holds, which ru_maxrss (peak_rss_mib) would start from
+    root = _checkout(tmp_path / "big", "")
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(_RUN_PY.format(work="block = b'x' * (64 << 20); time.sleep(0.3)"))
+    block = b"y" * (96 << 20)
+    run = bench_pairs._run(root, "w", 1, None)
+    del block
+    assert 64 < run["run_vmhwm_mib"] < 96
+
+
 def test_summary_counts_failed_operations():
     runs = _runs([1.0, 1.0], [1.0, 1.0])
     runs[0]["base"]["failed"] = 2
@@ -133,6 +167,7 @@ def test_run_reports_the_childs_cpu_seconds(tmp_path):
     assert runs["busy"]["metrics"] == {"run_s": 1.0} and runs["busy"]["correct"]
     assert runs["busy"]["cpu_s"] > runs["idle"]["cpu_s"] + 0.1
     assert all(isinstance(run["other_cpu_s"], float) for run in runs.values())
+    assert all(run["run_vmhwm_mib"] > 0 for run in runs.values())
 
 
 def test_import_rss_reads_the_checkouts_cli(tmp_path):

@@ -609,6 +609,43 @@ class TestErrors:
         ) == 3
         assert "resource limit" in capsys.readouterr().err
 
+    def test_memory_error_exit_code(self, lattice_file, monkeypatch, capsys):
+        from quasidiff import diffraction
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 34.3 MiB")
+
+        monkeypatch.setattr(diffraction, "autocorrelation", no_memory)
+        assert run(
+            "diffract", "scan", "--input", str(lattice_file), "--box", "0,2000",
+            "--xi", "0,0.5", "--estimator", "autocorr",
+        ) == 3
+        err = capsys.readouterr().err
+        assert err == "resource limit: out of memory: Unable to allocate 34.3 MiB\n"
+
+    def test_autocorr_scan_under_an_address_space_limit(self, tmp_path):
+        # a 3000-point Fibonacci patch: 4.5e6 pairs in 5990 bins, whose run of
+        # rows grows from the first block's bins instead of being reserved for
+        # every pair (216 MB), so 64 MiB of address space past the import holds it
+        patch = tmp_path / "m3.json"
+        assert run("gen", "model-set", "--scheme", "fibonacci", "--box=0,4146", "--output", str(patch)) == 0
+        script = (
+            "import resource, sys\n"
+            "import quasidiff.cli\n"
+            "kb = int(open('/proc/self/status').read().split('VmSize:')[1].split()[0])\n"
+            "resource.setrlimit(resource.RLIMIT_AS, ((kb + 64 * 1024) * 1024, resource.RLIM_INFINITY))\n"
+            "sys.exit(quasidiff.cli.main(sys.argv[1:]))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script, "diffract", "scan", "--input", str(patch),
+                               "--box", "0,4146", "--xi", "0:3:0.03", "--estimator", "autocorr",
+                               "--output", str(tmp_path / "auto.csv")],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        with open(tmp_path / "auto.csv") as fh:
+            assert len(spectrum_from_csv(fh)[0].entries) == 100
+
     @pytest.mark.parametrize("threads, code", [(0, 2), (-3, 2), ("cap+1", 3)])
     def test_thread_count_exit_code(self, threads, code, lattice_file, monkeypatch, capsys):
         from quasidiff import diffraction

@@ -580,6 +580,55 @@ class TestAutocorrelation:
             tracemalloc.stop()
         assert len(patch._half[0]) < 3000 and peak < 16 * 2**20
 
+    def test_run_grows_from_the_first_batch(self):
+        import tracemalloc
+
+        # the chain above at the default budget: a run reserved for every one of
+        # its 1.1e6 pairs would peak near 60 MiB; grown from its bins it stays small
+        x = np.flatnonzero(np.random.default_rng(5).random(3000) < 0.5).astype(float)
+        wps, box = WeightedPointSet(1, x), Box([-1.0], [3001.0])
+        tracemalloc.start()
+        try:
+            patch = autocorrelation(wps, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(patch._half[0]) < 3000 and peak < 20 * 2**20
+        # a mostly empty run is copied, so the patch holds only its bins
+        assert all(a.base is None for a in patch._half)
+
+    def test_radius_run_grows_from_the_first_batch(self):
+        import tracemalloc
+
+        # 2000 random 2D points: under a radius the 2411 kd-tree pairs are all
+        # distinct bins, but a run reserved for all 1999000 pairs would take 152 MiB
+        wps = WeightedPointSet(2, np.random.default_rng(8).random((2000, 2)))
+        tracemalloc.start()
+        try:
+            patch = autocorrelation(wps, Box([0.0, 0.0], [1.0, 1.0]), max_radius=0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(patch._half[0]) == 2411 and peak < 40 * 2**20
+
+    def test_nearly_distinct_run_is_the_patch(self):
+        import tracemalloc
+
+        # a jittered chain whose differences, rounded to 1e-6, repeat for a few
+        # pairs: the run reserved for every pair is nearly full and is not copied
+        rng = np.random.default_rng(6)
+        x = np.round(np.arange(600.0) + rng.uniform(-0.3, 0.3, 600), 6)
+        wps, box = WeightedPointSet(1, x), Box([-1.0], [600.0])
+        tracemalloc.start()
+        try:
+            patch = autocorrelation(wps, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 600 * 599 // 2 - 100 < len(patch._half[0]) < 600 * 599 // 2
+        assert peak < 2 * sum(a.nbytes for a in patch._half)
+        assert all(a.base is not None for a in patch._half)
+
     @pytest.mark.parametrize("block", [None, 1000, 1])  # None: the default
     @pytest.mark.parametrize("patch, radius", [
         ("chain", None), ("chain", 20.0), ("jittered", None), ("jittered", 20.0),

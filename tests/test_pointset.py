@@ -538,6 +538,31 @@ _PINNED_FILES = [
     b'{"dim": 1, "points": [[1.0], [1.0]]}',
     b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1, 0], [0.5, 0.5]]}',
     b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1, 0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0, -0.0], [0.5, 0.5]]}',
+    b'{"dim": 1, "weights": [[0.5, 0.0], [2.0, 1.0]], "points": [[2.0], [1.0]]}',
+    b'{"pointset": {"dim": 1, "points": [[1.0], [2.0]], "weights": [[2.0, 1e-300], [1E5, .5]]}}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0, 0.0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": []}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": null}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0], [0.5, 0.5]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0, 0.0, 2.0], [0.5, 0.5, 1.0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0, 0.0], [0.5, 0.5],]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0, 0.0], [0.5, 0.5]]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0, 0.0], [0.5 0.5]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[NaN, 0.0], [0.5, 0.5]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1e400, 0.0], [0.5, 0.5]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[true, 0.0], [0.5, 0.5]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [["1.0", 0.0], [0.5, 0.5]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0, 0.0], [0.5, 0.5]], "meta": {"x": Infinity}}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0, 0.0], [0.5, 0.5]], "meta": {"x": NaN}}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0, 0.0], [2.0, 0.0]], "weights": [[3.0, 0.0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[3.0, 0.0]], "weights": [[1.0, 0.0], [2.0, 0.0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"weights": [[5.0, 0.0], [6.0, 0.0]]}}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[5.0, 0.0], [6.0, 0.0]], "meta": {"weights": [[1.0, 0.0]]}}',
+    b'{"dim": 1, "meta": {"a\\"weights": [[1.0, 0.0]]}, "points": [[1.0]]}',
+    b'{"dim": 1, "weights": [[1.0, 0.0]]}',
+    b'{"dim": 1, "points": [[1.0], [2.0]], "weights": [[1.0, 0.0], [0.5, 0.5]], "meta": {"note": "\xc3\xa9"}}',
     b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"note": "\xc3\xa9"}}',
     b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"note": "\\u00e9"}}',
     b'{"dim": 1, "points": [[1.0], [2.0]], "meta": {"note": "\xff"}}',
@@ -605,10 +630,12 @@ class TestReader:
             WeightedPointSet.load(io.BytesIO(b'{"dim": 1, "points": [[1.0], ]}'))
 
 
-def _patch_file(tmp_path) -> tuple[WeightedPointSet, Path]:
-    """A 1e5-point 1D patch with model-set-like coordinates, and its file as dump writes it."""
+def _patch_file(tmp_path, weighted: bool = False) -> tuple[WeightedPointSet, Path]:
+    """A 1e5-point 1D patch with model-set-like coordinates, weighted 0.5 or 2 if weighted,
+    and its file as dump writes it."""
     rng = np.random.default_rng(8)
-    wps = WeightedPointSet(1, (500 * rng.random() + np.cumsum(rng.choice([1.0, TAU], 10**5)))[:, None])
+    x = (500 * rng.random() + np.cumsum(rng.choice([1.0, TAU], 10**5)))[:, None]
+    wps = WeightedPointSet(1, x, rng.choice([0.5, 2.0], 10**5) if weighted else None)
     path = tmp_path / "patch.json"
     with path.open("w") as fh:
         wps.dump(fh)
@@ -627,6 +654,19 @@ class TestPointSetMemory:
             tracemalloc.stop()
         assert np.array_equal(back.points, wps.points)
         assert peak < 2 * path.stat().st_size
+
+    def test_weighted_read_peak_under_1_6_times_the_file(self, tmp_path):
+        # the weights are read in chunks of rows as the points are (5.2 MiB here)
+        wps, path = _patch_file(tmp_path, weighted=True)
+        tracemalloc.start()
+        try:
+            with path.open("rb") as fh:
+                back = WeightedPointSet.load(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.points.tobytes() == wps.points.tobytes() and back.weights.tobytes() == wps.weights.tobytes()
+        assert peak < 1.6 * path.stat().st_size
 
     def test_write_peak_under_one_mib(self, tmp_path):
         wps, path = _patch_file(tmp_path)

@@ -31,8 +31,12 @@ host's steal time over the run, in jiffies of the `cpu` line of /proc/stat
 seconds of other processes over the run: the growth of that line's busy
 jiffies (user, nice, system, irq and softirq) over SC_CLK_TCK, less the
 run's own CPU seconds. /proc/stat counts whole ticks of each CPU, so that
-reading is good to about a tick per CPU and can dip just below 0. All three
-are printed next to the verdicts.
+reading is good to about a tick per CPU and can dip just below 0. It also
+records, ungated, the run's own peak RSS: the VmHWM line of the run's
+/proc/<pid>/status, read every SAMPLE_S seconds while it runs (VmHWM only
+grows, so the last reading is the peak up to the last SAMPLE_S of the run).
+peak_rss_mib is ru_maxrss, which starts at the launcher's peak; this reading
+does not. All of these are printed next to the verdicts.
 
 A metric's verdict, with base spread the base runs' q3 - q1:
 
@@ -65,9 +69,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CACHES = Path("/sys/devices/system/cpu/cpu0/cache")
 PROC_STAT = Path("/proc/stat")
+PROC = Path("/proc")
 IMPORT_RSS = "import quasidiff.cli; print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+# seconds between two readings of a run's VmHWM
+SAMPLE_S = 0.05
 # readings recorded per run but not gated, with the unit they are printed in
-UNGATED = {"import_rss_mib": " MiB", "cpu_s": " s", "steal_jiffies": "", "other_cpu_s": " s"}
+UNGATED = {"import_rss_mib": " MiB", "run_vmhwm_mib": " MiB", "cpu_s": " s", "steal_jiffies": "",
+           "other_cpu_s": " s"}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 # the sides tier-1 runs on, in turn: three runs each, each side first and last once
 TIER1_ORDER = ("base", "new", "new", "base", "base", "new")
@@ -156,6 +164,24 @@ def _host_load(before: tuple | None, after: tuple | None, cpu_s: float) -> dict:
     return {"steal_jiffies": steal, "other_cpu_s": round(busy / os.sysconf("SC_CLK_TCK") - cpu_s, 3)}
 
 
+def _vmhwm_mib(status: str) -> float | None:
+    """The VmHWM line (in kB) of /proc/<pid>/status text, in MiB; None without one (a
+    process that has exited keeps its status file until it is waited for, but no memory
+    lines)."""
+    for line in status.splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024.0
+    return None
+
+
+def _read_vmhwm_mib(pid: int, proc: Path = PROC) -> float | None:
+    """The peak RSS so far of the running process pid, or None where it cannot be read."""
+    try:
+        return _vmhwm_mib((proc / str(pid) / "status").read_text())
+    except OSError:
+        return None
+
+
 def _child_cpu_s() -> float:
     """User plus system CPU seconds of this process's waited-for children so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -167,16 +193,24 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float | None) -> dic
     if seconds is not None:
         argv += ["--seconds", str(seconds)]
     jiffies, cpu_s = _read_cpu_jiffies(), _child_cpu_s()
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.Popen(argv, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    vmhwm = None
+    while True:  # VmHWM only grows: the last reading before the run exits is its peak
+        vmhwm = _read_vmhwm_mib(proc.pid) or vmhwm
+        try:
+            stdout, stderr = proc.communicate(timeout=SAMPLE_S)
+            break
+        except subprocess.TimeoutExpired:
+            pass
     after, cpu_s = _read_cpu_jiffies(), _child_cpu_s() - cpu_s
-    lines = proc.stdout.strip().splitlines()
+    lines = stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{workload} seed {seed} failed in {checkout}:\n{proc.stderr[-2000:]}")
+        raise SystemExit(f"{workload} seed {seed} failed in {checkout}:\n{stderr[-2000:]}")
     res = json.loads(lines[-1])
     return {"seed": seed, "correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"],
             "metrics": {k: m["value"] for k, m in res["metrics"].items()},
             "cpu_s": round(cpu_s, 3), **_host_load(jiffies, after, cpu_s),
-            "import_rss_mib": _import_rss_mib(checkout)}
+            "import_rss_mib": _import_rss_mib(checkout), "run_vmhwm_mib": vmhwm}
 
 
 def _tier1(checkout: Path) -> dict:
@@ -285,7 +319,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{m} {pair['base']['metrics'][m]:.4g} -> {pair['new']['metrics'][m]:.4g}" for m in metrics)
                     + "".join(f", {k} {pair['base'][k]} -> {pair['new'][k]}"
-                              for k in ("cpu_s", "steal_jiffies", "other_cpu_s")),
+                              for k in ("run_vmhwm_mib", "cpu_s", "steal_jiffies", "other_cpu_s")),
                     file=sys.stderr)
             summary = _summary(runs, metrics)
             record["workloads"][workload] = {"runs": runs, "summary": summary}
