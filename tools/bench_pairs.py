@@ -36,7 +36,9 @@ records, ungated, the run's own peak RSS: the VmHWM line of the run's
 /proc/<pid>/status, read every SAMPLE_S seconds while it runs (VmHWM only
 grows, so the last reading is the peak up to the last SAMPLE_S of the run).
 peak_rss_mib is ru_maxrss, which starts at the launcher's peak; this reading
-does not. All of these are printed next to the verdicts.
+does not. It covers the whole of run.py, the output checks after the timed
+rounds included, while peak_rss_mib is read before those checks. All of these
+are printed next to the verdicts.
 
 A metric's verdict, with base spread the base runs' q3 - q1:
 
