@@ -1,11 +1,14 @@
-"""Kernels the estimators share: an exactly rounded sum, and a stable sort of
-integer keys that marks where each run of equal keys starts."""
+"""Kernels the estimators share: an exactly rounded sum, a stable sort of
+integer keys that marks where each run of equal keys starts, and the seeded
+random generator."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .errors import ValidationError
 
 # _exact_sum's level sums stay exact for fewer terms than this
 _EXACT_SUM_TERMS = 2**26
@@ -145,3 +148,11 @@ def _load(w: np.ndarray, col: np.ndarray, order: np.ndarray | None) -> None:
         np.take(col.view(np.uint64), order, out=w, mode="clip")
     else:
         w[...] = col if order is None else col[order]
+
+
+def _rng(seed: int) -> np.random.Generator:
+    # Philox is counter-based: draw i of a size-n request is a pure function
+    # of (seed, i), independent of any iteration schedule
+    if not 0 <= int(seed) < 2**64:
+        raise ValidationError("seed must fit an unsigned 64-bit integer")
+    return np.random.Generator(np.random.Philox(key=int(seed)))

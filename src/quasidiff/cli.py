@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
 import json
 import sys
 from contextlib import contextmanager
@@ -34,10 +33,10 @@ from .cutproject import (
 from .diffraction import (
     _THREAD_CAP,
     Spectrum,
-    SpectrumEntry,
-    _convergence,
+    _entry,
     _evaluator,
     _scan,
+    _write_csv,
     find_peaks,
     fourier_average,
     scan_spectrum,
@@ -109,13 +108,13 @@ def _envelope(args: argparse.Namespace, input_path: str | None) -> dict:
     }
 
 
-def _emit(parts: list, output: str | None) -> None:
-    """Write parts, strings and string iterators as _json_parts returns them, to output or stdout."""
+def _emit(write, output: str | None) -> None:
+    """Call write(fh) with output opened as text, or with stdout."""
     if output:
         with _invalid(f"cannot write output {output}"), Path(output).open("w") as fh:
-            _write_parts(parts, fh)
+            write(fh)
     else:
-        _write_parts(parts, sys.stdout)
+        write(sys.stdout)
 
 
 def _emit_json(payload: dict, args: argparse.Namespace, input_path: str | None = None) -> None:
@@ -123,7 +122,7 @@ def _emit_json(payload: dict, args: argparse.Namespace, input_path: str | None =
     obj.update(payload)
     with _invalid("output has a non-finite number"):
         parts = _json_parts(obj)
-    _emit(parts + ["\n"], args.output)
+    _emit(functools.partial(_write_parts, parts + ["\n"]), args.output)
 
 
 def _csv_envelope(args: argparse.Namespace, input_path: str | None) -> dict:
@@ -136,12 +135,9 @@ def _csv_envelope(args: argparse.Namespace, input_path: str | None) -> dict:
 
 
 def _emit_csv(args: argparse.Namespace, input_path: str | None, head: list, rows) -> None:
-    """Envelope comment lines, the header, then rows of floats at 17 significant digits."""
+    """The envelope, header and rows as a CSV table (_write_csv) to the output."""
     env = _csv_envelope(args, input_path)
-    lines = [f"# {k}={env[k]}" for k in sorted(env)]
-    lines.append(",".join(head))
-    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
-    _emit(["\n".join(lines) + "\n"], args.output)
+    _emit(lambda fh: _write_csv(fh, env, head, rows), args.output)
 
 
 @contextmanager
@@ -379,11 +375,8 @@ def cmd_diffract(args: argparse.Namespace) -> int:
     if args.subcommand == "scan":
         box = _parse_box(args.box)
         sp = scan_spectrum(wps, box, _parse_grid(args.xi), estimator=args.estimator, threads=args.threads)
-        buf = io.StringIO()
-        spectrum_to_csv(sp, buf, _csv_envelope(args, args.input))
-        _emit([buf.getvalue()], args.output)
     elif args.subcommand == "peak":
-        xi = np.array(_parse_vector(args.xi))
+        xi = _parse_vector(args.xi)
         with _invalid(f"--vanhove takes side0,growth,count, got {args.vanhove!r}"):
             side0, growth, count = _parse_floats(args.vanhove)
             count = int(count)
@@ -398,14 +391,8 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         xi = _vector(xi, dim=wps.dim, name="xi")
         counts, per_scale = _evaluator(wps, cubes, args.estimator)
         vals = per_scale(xi)
-        entries = []
-        for k, cube in enumerate(cubes):
-            gap, converged, _ = _convergence(vals[: k + 1])
-            entries.append(SpectrumEntry(tuple(float(v) for v in xi), vals[k], args.estimator,
-                                         (vals[k],), float(gap), converged, cube.volume, counts[k]))
-        buf = io.StringIO()
-        spectrum_to_csv(Spectrum(tuple(entries)), buf, _csv_envelope(args, args.input))
-        _emit([buf.getvalue()], args.output)
+        sp = Spectrum(tuple(_entry(xi, vals[: k + 1], args.estimator, cube, n)
+                            for k, (cube, n) in enumerate(zip(cubes, counts))))
     else:  # peaks
         box = _parse_box(args.box)
         sp, per_scale = _scan(wps, box, _parse_grid(args.xi), args.estimator, args.threads)
@@ -417,6 +404,9 @@ def cmd_diffract(args: argparse.Namespace) -> int:
 
         peaks = find_peaks(sp, args.floor, refine=refine)
         _emit_csv(args, args.input, ["xi_1", "intensity"], [(p.xi, p.intensity) for p in peaks])
+        return 0
+    env = _csv_envelope(args, args.input)
+    _emit(lambda fh: spectrum_to_csv(sp, fh, env), args.output)
     return 0
 
 

@@ -318,13 +318,13 @@ def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
     k = i - j, offset-major, of at most _PAIR_BLOCK pairs or one offset,
     filled by slices into (cap, dim) buffers reused from block to block;
     lead holds k - k0 for the block's first offset k0. Each offset is
-    reduced whole, so the bins do not depend on the block size. A 1D radius
-    drops the pairs beyond it, and the blocks, doubling from one offset, stop
-    after the first offset that keeps none (the points are sorted, so no
-    later offset keeps one). A radius in 2D or more, lead None: kd-tree pairs
-    ordered by (j, i), in batches of _PAIR_BLOCK; ResourceLimitError first if
-    n + 2 * pairs, the ordered pairs counted as the unbounded path counts n * n,
-    exceeds _PAIR_BUDGET.
+    reduced whole, so the bins do not depend on the block boundaries. A 1D
+    radius drops the pairs beyond it, and the blocks stop after the first
+    offset that keeps none (the points are sorted, so no later offset keeps
+    one). A radius in 2D or more, lead None: kd-tree pairs ordered by (j, i),
+    in batches of _PAIR_BLOCK; ResourceLimitError first if n + 2 * pairs, the
+    ordered pairs counted as the unbounded path counts n * n, exceeds
+    _PAIR_BUDGET.
     """
     n, dim = pts.shape
     if n < 2:
@@ -348,17 +348,15 @@ def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
     wc = np.conj(w)
     cap = min(max(_PAIR_BLOCK, n - 1), n * (n - 1) // 2)
     d, prod, lead = np.empty((cap, dim)), np.empty(cap, wc.dtype), np.empty(cap, np.min_scalar_type(n))
-    size = cap if max_radius is None else n - 1  # a radius may keep few offsets: grow to cap
     off = 1
     while off < n:
         k0, m = off, 0
-        while off < n and m + n - off <= size:
+        while off < n and m + n - off <= cap:
             s = slice(m, m + n - off)
             np.subtract(pts[off:], pts[:-off], out=d[s])
             np.multiply(w[off:], wc[:-off], out=prod[s])
             lead[s] = off - k0
             m, off = s.stop, off + 1
-        size = min(2 * size, cap)
         block = d[:m], prod[:m], lead[:m]
         if max_radius is not None:  # 1D only: in more dimensions the kd-tree takes a radius
             keep = block[0][:, 0] <= max_radius
@@ -389,10 +387,10 @@ def autocorrelation(
     (_lexorder) and its bins are written in place after those before them,
     into one run of a row per bin; a block of index offsets is sorted by
     (offset, key), so its bins are its offsets' bins end to end. One more
-    sort merges the rows in place, adding each bin's partial sums in offset
-    or batch order; only a single kd-tree batch is merged already. The run
-    is merged whenever it holds over _BIN_BUDGET, so it never needs more
-    than min(pairs, _BIN_BUDGET + one block) rows. The first batch sets how
+    sort, at the end, merges the rows in place, adding each bin's partial
+    sums in offset or batch order. The run is merged also whenever it holds
+    over _BIN_BUDGET, so it never needs more than
+    min(pairs, _BIN_BUDGET + one block) rows. The first batch sets how
     the run is reserved: without a radius, if its bins are at least half its
     pairs, all the cap's rows are reserved at once; otherwise, and always
     under a radius, which may keep few of the pairs, the run starts at twice
@@ -430,19 +428,17 @@ def autocorrelation(
     dim, vol = wps.dim, box.volume
     # a batch has at most one block of pairs, after at most _BIN_BUDGET rows
     cap = min(n * (n - 1) // 2, _BIN_BUDGET + max(_PAIR_BLOCK, n - 1))
-    run, held, merged = _new_run(0, dim), 0, False
+    run, held = _new_run(0, dim), 0
     for d, prod, lead in _pair_batches(pts, w, max_radius):
-        merged = not held and lead is None  # a single kd-tree batch repeats no key
         run, held = _aggregate_bins(run, held, cap, _quantize(d, bin_epsilon), d, prod, lead, max_radius is None)
         if held > _BIN_BUDGET:  # the rows may repeat a bin: count the distinct ones
-            held, merged = _merge_runs(run, held), True
+            held = _merge_runs(run, held)
             if held > _BIN_BUDGET:
                 raise ResourceLimitError(
                     f"autocorrelation produced more than {_BIN_BUDGET} distinct difference "
                     "bins; truncate with max_radius or coarsen bin_epsilon"
                 )
-    if not merged:
-        held = _merge_runs(run, held)
+    held = _merge_runs(run, held)
     # a run at least half full is the patch; a copy frees a mostly empty one
     qkeys, coeffs, reps, rmin, spreads = (a[:held] if 2 * held >= len(a) else a[:held].copy() for a in run)
     del run
@@ -569,6 +565,13 @@ class Spectrum:
         return np.array([e.xi for e in self.entries])
 
 
+def _entry(xi, vals, estimator: str, box: Box, count: int) -> SpectrumEntry:
+    """The spectrum row at xi of the per-scale intensities vals, the last of them in box, of count points."""
+    gap, converged, _ = _convergence(vals)
+    return SpectrumEntry(tuple(float(v) for v in xi), float(vals[-1]), estimator,
+                         tuple(float(v) for v in vals), float(gap), converged, box.volume, count)
+
+
 def scan_spectrum(
     wps: WeightedPointSet,
     box,
@@ -609,11 +612,7 @@ def _scan(wps: WeightedPointSet, box, xi_grid, estimator: str, threads: int):
     counts, per_scale = _evaluator(wps, boxes, estimator)
 
     def evaluate(xi):
-        vals = per_scale(xi)
-        gap, converged, _ = _convergence(vals)
-        return SpectrumEntry(tuple(float(v) for v in xi), float(vals[-1]), estimator,
-                             tuple(float(v) for v in vals), float(gap), converged,
-                             boxes[-1].volume, counts[-1])
+        return _entry(xi, per_scale(xi), estimator, boxes[-1], counts[-1])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(xis))) as pool:
@@ -679,29 +678,24 @@ def find_peaks(sp: Spectrum, floor: float, refine=None, tol: float = 1e-8) -> li
     return out
 
 
-def spectrum_to_csv(sp: Spectrum, fh, envelope: dict | None = None) -> None:
-    """Write the spectrum in the flat CSV schema, floats at 17 significant digits.
-
-    envelope entries become leading `# key=value` comment lines (reproducible
-    run metadata travels with the data).
-    """
-    dim = sp.dim
-    for key in sorted(envelope or {}):
+def _write_csv(fh, envelope: dict, head: list, rows) -> None:
+    """Write the CSV layout of every table: `# key=value` lines in key order
+    (reproducible run metadata travels with the data), the header, then the
+    rows, strings as they are and numbers as floats at 17 significant digits."""
+    for key in sorted(envelope):
         fh.write(f"# {key}={envelope[key]}\n")
-    cols = [f"xi_{j + 1}" for j in range(dim)]
-    cols += ["intensity", "estimator", "box_volume", "point_count", "last_gap", "converged"]
-    fh.write(",".join(cols) + "\n")
-    for e in sp.entries:
-        row = [f"{v:.17g}" for v in e.xi]
-        row += [
-            f"{e.intensity:.17g}",
-            e.estimator,
-            f"{e.box_volume:.17g}",
-            str(e.point_count),
-            f"{e.last_gap:.17g}",
-            "true" if e.converged else "false",
-        ]
-        fh.write(",".join(row) + "\n")
+    fh.write(",".join(head) + "\n")
+    for row in rows:
+        fh.write(",".join(v if isinstance(v, str) else f"{float(v):.17g}" for v in row) + "\n")
+
+
+def spectrum_to_csv(sp: Spectrum, fh, envelope: dict | None = None) -> None:
+    """Write the spectrum in the flat CSV schema (_write_csv), envelope entries as comment lines."""
+    head = [f"xi_{j + 1}" for j in range(sp.dim)]
+    head += ["intensity", "estimator", "box_volume", "point_count", "last_gap", "converged"]
+    rows = ((*e.xi, e.intensity, e.estimator, e.box_volume, str(e.point_count), e.last_gap,
+             "true" if e.converged else "false") for e in sp.entries)
+    _write_csv(fh, envelope or {}, head, rows)
 
 
 def spectrum_from_csv(fh) -> tuple[Spectrum, dict]:

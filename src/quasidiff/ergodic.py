@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _lexorder
+from ._kernels import _lexorder, _rng
 from .errors import ValidationError
 from .geometry import Box, FisherFamily, fisher_boxes
-from .randomize import _rng
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,7 @@ def _observable_values(word: str, f: Observable, n: int, offset: int) -> np.ndar
     one table read per block class, at its first start, then one gather."""
     width = 2 * f.locality + 1
     span = word[offset : offset + n + width - 1]
-    _, key = next(_factor_classes(_letters(span), [width]))
-    inverse, first = _rank(key)
+    inverse, first = _rank(_FactorNames(_letters(span)).key(width))
     try:
         table = np.array([f.table[span[s : s + width]] for s in first.tolist()], dtype=complex)
     except KeyError as exc:
@@ -311,31 +309,34 @@ def _letters(word: str) -> np.ndarray:
     return _rank(np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32))[0]
 
 
-def _factor_classes(letters: np.ndarray, radii):
-    """Yield (r, key) for each r in radii, which must increase; key[i] names
-    the length-r factor at start i exactly (equal keys, equal factors), and
-    ranks it lexicographically. letters are a word's letter ranks (_letters).
-    radii is read one radius per key taken, so a caller may choose the next
-    radius after it has used the last key.
+class _FactorNames:
+    """Exact names of the factors of a word, by Karp-Miller-Rosenberg doubling.
 
-    Karp-Miller-Rosenberg naming: rank[i] names the length-w factor at i for
-    w a power of two, and doubling w ranks the pairs (rank[i], rank[i + w]).
-    For w <= r < 2w a length-r factor is its length-w prefix followed by its
-    length-w suffix, so the pair (rank[i], rank[i + r - w]) names it. Only the
-    current level is held. Ranks and pair keys are stored in the narrowest
-    unsigned type that holds them (_rank, _pair_key), and _lexorder sorts them
-    packed with their positions in uint32 words while both fit in 32 bits (on
-    a 2e5-letter word, keys below 2**14), in uint64 words past that. This is
-    the seeder of check_linear_repetitivity, which steps its classes from one
-    radius to the next (_Classes) and sorts a key only where stepping would
-    cost more.
+    letters are the word's letter ranks (_letters). key(r) names the
+    length-r factor at each start i exactly (equal keys, equal factors) and
+    ranks it lexicographically; r may not fall from one call to the next.
+
+    rank[i] names the length-w factor at i for w a power of two, and doubling
+    w ranks the pairs (rank[i], rank[i + w]); key(r) doubles w while
+    2w <= r. For w <= r < 2w a length-r factor is its length-w prefix
+    followed by its length-w suffix, so the pair (rank[i], rank[i + r - w])
+    names it. Only the current level is held. Ranks and pair keys are stored
+    in the narrowest unsigned type that holds them (_rank, _pair_key), and
+    _lexorder sorts them packed with their positions in uint32 words while
+    both fit in 32 bits (on a 2e5-letter word, keys below 2**14), in uint64
+    words past that. This is the seeder of check_linear_repetitivity, which
+    steps its classes from one radius to the next (_Classes) and sorts a key
+    only where stepping would cost more.
     """
-    rank, classes, w = letters, int(letters.max()) + 1, 1
-    for r in radii:
-        while 2 * w <= r:
-            rank, first = _rank(_pair_key(rank, classes, w))
-            classes, w = len(first), 2 * w
-        yield r, _pair_key(rank, classes, r - w)
+
+    def __init__(self, letters: np.ndarray):
+        self.rank, self.classes, self.w = letters, int(letters.max()) + 1, 1
+
+    def key(self, r: int) -> np.ndarray:
+        while 2 * self.w <= r:
+            self.rank, first = _rank(_pair_key(self.rank, self.classes, self.w))
+            self.classes, self.w = len(first), 2 * self.w
+        return _pair_key(self.rank, self.classes, r - self.w)
 
 
 def _spans(starts: np.ndarray, heads: np.ndarray):
@@ -499,7 +500,7 @@ def check_linear_repetitivity(word: str, radii) -> dict:
     max over radii. Linearly repetitive words keep C_estimate bounded; random
     words push it up with R.
 
-    The classes are seeded from the KMR key (_factor_classes) at the first
+    The classes are seeded from the KMR key (_FactorNames) at the first
     radius of every run of consecutive radii, and stepped from R to R + 1
     within a run (_Classes.step), unless the classes to test hold more than
     _SEED_SHARE of the starts: then the key of R + 1 is sorted instead.
@@ -513,22 +514,15 @@ def check_linear_repetitivity(word: str, radii) -> dict:
             f"word length {len(word)} is below the adequacy bound 4 max(radii) = {need}"
         )
     letters = _letters(word)
-    wanted = set(radii)
-    asked = []  # _factor_classes reads a radius only when its key is taken
-    keys = _factor_classes(letters, iter(asked.pop, None))
-
-    def key(r):
-        asked.append(r)
-        return next(keys)[1]
-
+    kmr, wanted = _FactorNames(letters), set(radii)
     by_radius, classes = {}, None
     for r in sorted(wanted):
         stepped = classes is not None and classes.r == r - 1
         if not (stepped and classes.step()):
             prev = None
             if r + 1 in wanted:  # names of the length-(r - 1) factors; at r = 1 the empty word's
-                prev = classes.names if stepped else key(r - 1) if r > 1 else np.zeros(len(word), np.uint8)
-            classes = _Classes(letters, r, key(r), prev)
+                prev = classes.names if stepped else kmr.key(r - 1) if r > 1 else np.zeros(len(word), np.uint8)
+            classes = _Classes(letters, r, kmr.key(r), prev)
         by_radius[r] = classes.constant()
     constants = [by_radius[r] for r in radii]
     return {"constants": constants, "C_estimate": float(max(constants))}

@@ -8,6 +8,8 @@ in [r, 2r].
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +114,14 @@ class VanHoveCubes:
             raise ValidationError(f"growth must exceed 1, got {self.growth}")
         if self.count < 1:
             raise ValidationError(f"count must be at least 1, got {self.count}")
+        # growth**(count - 1) and the last cube's volume must be finite floats;
+        # compared in logs, so that the check itself cannot overflow
+        grown, top = (self.count - 1) * math.log(self.growth), math.log(sys.float_info.max)
+        if not (grown < top and center.size * (math.log(self.side0) + grown) < top):
+            raise ValidationError(
+                f"{self.count} cubes of side0 {self.side0} and growth {self.growth} end in a "
+                "cube whose growth factor, side or volume overflows a float"
+            )
 
 
 @dataclass(frozen=True)

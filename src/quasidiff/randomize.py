@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _rng
 from .errors import NumericalDiagnosticError, ValidationError
 from .geometry import Box, _vector
 from .pointset import WeightedPointSet
@@ -149,14 +150,6 @@ class RandomModel:
         if kind == "displacement":
             return cls("displacement", obj["seed"], dist=DisplacementDist.from_json(obj["dist"]))
         raise ValidationError(f"unknown model kind {kind!r}")
-
-
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter-based: draw i of a size-n request is a pure function
-    # of (seed, i), independent of any iteration schedule
-    if not 0 <= int(seed) < 2**64:
-        raise ValidationError("seed must fit an unsigned 64-bit integer")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def percolate(wps: WeightedPointSet, p: float, seed: int) -> WeightedPointSet:

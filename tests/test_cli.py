@@ -234,6 +234,21 @@ class TestPerturb:
 
 
 class TestDiffract:
+    @pytest.mark.parametrize("xi, vanhove", [("0", "0.5,1e300,10"), ("2", "2,1.7e308,2")],
+                             ids=["growth-overflows", "last-side-overflows"])
+    def test_van_hove_past_the_float_range_exit_code(self, tmp_path, lattice_file, xi, vanhove):
+        # growth**n overflowed into an OverflowError, and a last side of inf into a
+        # box_volume of inf; with RuntimeWarnings as errors an overflow warning would
+        # end in a traceback and exit 1
+        script = "import sys; from quasidiff.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script, "diffract", "peak",
+                               "--input", str(lattice_file), f"--xi={xi}", "--vanhove", vanhove,
+                               "--output", "out.csv"], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "overflows a float" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.csv").exists()
+
     def test_scan_csv(self, tmp_path, lattice_file):
         out = tmp_path / "scan.csv"
         assert run(
@@ -908,11 +923,21 @@ _PINNED_COMMANDS = [
     ("percolated.json", ("perturb", "percolate", "--input", "weighted.json", "--p", "0.6", "--seed", "4")),
     ("subadditive.json", ("check", "subadditive", "--input", "lattice1d.json", "--xi", "0",
                           "--scales", "5,10", "--samples", "3", "--seed", "1")),
+    # CSV outputs at xi = 0: every phase is 0, so no libm result enters their bytes
+    *((f"scan-{est}.csv", ("diffract", "scan", "--input", "lattice1d.json", "--box", "0,200", "--xi", "0",
+                           "--estimator", est)) for est in ("fourier", "autocorr")),
+    *((f"peak-{est}.csv", ("diffract", "peak", "--input", "lattice1d.json", "--xi", "0",
+                           "--vanhove", "10,2,3", "--estimator", est)) for est in ("fourier", "autocorr")),
+    ("peaks.csv", ("diffract", "peaks", "--input", "lattice1d.json", "--box", "0,200", "--xi", "0",
+                   "--floor", "0.5")),
+    ("predict.csv", ("predict", "perturbed", "--model", "percolation:p=0.5",
+                     "--base-spectrum", "scan-fourier.csv")),
 ]
 # sha256 of the outputs built from exact arithmetic, and of WeightedPointSet.dump
 # of _weighted_patch(), taken with version 0.1.0 before point sets were written
 # without json.dumps' indented encoder. The model set is left out: its points
-# come from a matmul, whose rounding may differ with the BLAS and the CPU.
+# come from a matmul, whose rounding may differ with the BLAS and the CPU. The
+# CSV digests were taken before spectrum rows and tables shared one CSV writer.
 _PINNED_SHA256 = {
     "weighted.json": "d1d58aae42734263308c17dbe1f5b13661dc1c6a6beebf7e74a036c90f9565d3",
     "lattice2d.json": "ade289a3aa5d83ad75e11d2bbeb62012ee309da0b01be26075724695a6dfd7e7",
@@ -921,6 +946,12 @@ _PINNED_SHA256 = {
     "lattice1d.json": "0f9d0e3fff52d3948579092de8d7227500eb8148580f89bdb1472dcf0a0f0009",
     "percolated.json": "1cab776b82ad4ca112fa15fb44d2aa16512442fccc1aaab97ad99d4976dc621a",
     "subadditive.json": "2b8543c18a1dd31af1ca7706e10d880ac18dea9266c55c57f62d28f4f6dfcebf",
+    "scan-fourier.csv": "9b4e3c86af05db6ffea2cf3b11d6f3bb2ee9129de6e648afe9c8bd696fda2e1f",
+    "scan-autocorr.csv": "448b447e32a31e32bb245f9f3e39bda83abb94ce55dc5beaef86c06040aedec2",
+    "peak-fourier.csv": "61a78846b6eb7014a10cb91b838a5beb8bb068bf5f8cd64811e391728fc1a028",
+    "peak-autocorr.csv": "0334665252ad8cbc4f3fc151db81e4bc32f572867ec87816859c5d0fac99878e",
+    "peaks.csv": "ec71b1f6d8ed5a7dee514b57e7db4524298f6461a1cf1657f5d7b4b8b2d8de48",
+    "predict.csv": "6b2a53ac68f78cf8bcf69d59512dec99dab3774522d276cfd843a83dc028f24c",
 }
 
 
@@ -944,6 +975,8 @@ class TestPinnedBytes:
 
     def test_outputs_are_json_dumps_layout(self, outputs):
         for name, data in outputs.items():
+            if not name.endswith(".json"):
+                continue
             text = data.decode()
             end = "" if name == "weighted.json" else "\n"  # dump writes no final newline; the CLI does
             assert text == json.dumps(json.loads(text), sort_keys=True, indent=1, allow_nan=False) + end, name

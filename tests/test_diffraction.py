@@ -666,8 +666,8 @@ class TestAutocorrelation:
             monkeypatch.setattr(diffraction, "_PAIR_BLOCK", block)
         got = autocorrelation(wps, box, max_radius=radius)
         blocks = list(diffraction._pair_batches(wps.points, wps.weights, radius))
-        # one block holds every pair; under a radius the blocks grow from one offset
-        assert (len(blocks) == 1) == (block is None and radius is None)
+        # one block holds every pair, under a radius too: the blocks have one size
+        assert (len(blocks) == 1) == (block is None)
         monkeypatch.setattr(diffraction, "_pair_batches", per_offset)
         want = autocorrelation(wps, box, max_radius=radius)
         for a, b in zip(got._half, want._half):

@@ -19,7 +19,7 @@ from quasidiff import (
     ww_sup_over_offsets,
 )
 from quasidiff import ergodic
-from quasidiff.ergodic import _factor_classes, _letters, _observable_values
+from quasidiff.ergodic import _FactorNames, _letters, _observable_values
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -356,7 +356,7 @@ class TestFactorKeyWidths:
             codes = np.floor(np.arange(n) * np.sqrt(2.0)).astype(np.int64) % letters
         codes[:letters] = np.arange(letters)  # every letter occurs
         word = _word(codes, 0x100)
-        (_, key), = _factor_classes(_letters(word), [1])
+        key = _FactorNames(_letters(word)).key(1)
         assert key.dtype.itemsize * 8 == bits
         radii = [1, 2, 3, 5, 8, 13, 64, 100, 7, 1]
         assert check_linear_repetitivity(word, radii)["constants"] == _int64_constants(word, radii)
@@ -366,7 +366,7 @@ class TestFactorKeyWidths:
         rng = np.random.default_rng(11)
         codes = np.concatenate([rng.permutation(letters), rng.integers(0, letters, letters)])
         word = _word(codes, 0x20000)
-        (_, key), = _factor_classes(_letters(word), [1])
+        key = _FactorNames(_letters(word)).key(1)
         assert key.dtype == np.uint64
         radii = [1, 2, 3, 4, 6, 9]
         assert check_linear_repetitivity(word, radii)["constants"] == _int64_constants(word, radii)
@@ -374,9 +374,10 @@ class TestFactorKeyWidths:
     def test_random_word_with_more_than_two_to_the_sixteen_classes(self):
         word = _word(np.random.default_rng(4).integers(0, 4, 200000), ord("a"))
         radii = [4, 9, 12, 16, 17, 31, 50]
-        for r, key in _factor_classes(_letters(word), radii):
+        names = _FactorNames(_letters(word))
+        for r in radii:
             if r >= 9:
-                assert len(np.unique(key)) > 2**16
+                assert len(np.unique(names.key(r))) > 2**16
         assert check_linear_repetitivity(word, radii)["constants"] == _int64_constants(word, radii)
 
     def test_random_binary_word_reseeds_then_steps(self, monkeypatch):
@@ -428,7 +429,7 @@ class TestFactorKeyWidths:
         # within 16 bits, and below 2**13, so that _lexorder packs it with an
         # 18-bit position into one uint32 word
         word = substitution_fixed_point(named_substitution("fibonacci"), 200000)[:200000]
-        widths = {r: (key.dtype.itemsize, int(key.max())) for r, key in _factor_classes(_letters(word), range(1, 101))}
-        assert sorted(widths) == list(range(1, 101))
-        assert max(size for size, _ in widths.values()) <= 2
-        assert max(top for _, top in widths.values()) < 2**13
+        names = _FactorNames(_letters(word))
+        widths = [(key.dtype.itemsize, int(key.max())) for key in map(names.key, range(1, 101))]
+        assert max(size for size, _ in widths) <= 2
+        assert max(top for _, top in widths) < 2**13

@@ -81,6 +81,21 @@ class TestVanHove:
         with pytest.raises(ValidationError):
             VanHoveCubes([0.0], 1.0, 2.0, 0)
 
+    @pytest.mark.parametrize("center, side0, growth, count", [
+        ([0.0], 0.5, 1e300, 10),  # growth**(count - 1) overflows
+        ([0.0], 2.0, 1.7e308, 2),  # the last side overflows
+        ([0.0], 1e-300, 1e300, 3),  # growth**2 overflows, the side would not
+        ([0.0, 0.0], 1.0, 1e200, 2),  # the last volume overflows
+    ])
+    def test_last_cube_past_the_float_range(self, center, side0, growth, count):
+        with pytest.raises(ValidationError, match="overflows a float"):
+            VanHoveCubes(center, side0, growth, count)
+
+    def test_last_cube_near_the_float_range(self):
+        (cube,) = cube_sequence(VanHoveCubes([0.0], 1e308, 2.0, 1))
+        assert cube.volume == 1e308
+        assert cube_sequence(VanHoveCubes([0.0], 1e-300, 1e300, 2))[-1].sides[0] == pytest.approx(1.0)
+
     def test_boundary_fraction_formula(self):
         b = Box([0.0], [10.0])
         # 1D: ((s + 2p) - (s - 2p)) / s = 4p/s
