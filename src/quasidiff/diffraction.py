@@ -25,7 +25,7 @@ import numpy as np
 from ._kernels import _exact_sum, _lexorder
 from .errors import NumericalDiagnosticError, ResourceLimitError, ValidationError
 from .geometry import Box, _vector
-from .pointset import WeightedPointSet, _min_separation_raw
+from .pointset import WeightedPointSet, _in_box, _min_separation_raw
 
 # autocorrelation refuses patches with more ordered pair candidates: n * n
 # unbounded, n + 2 * pairs within a radius in 2D or more
@@ -57,12 +57,9 @@ def fourier_average(wps: WeightedPointSet, box: Box, xi) -> FourierAverage:
     depend on the order of the points or on the thread that computes it, is
     reproducible bit for bit, and satisfies |value| <= (sum |w| in box)/vol.
     """
-    if box.dim != wps.dim:
-        raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
+    pts, w = _in_box(wps, box)
     xi = _vector(xi, dim=wps.dim, name="xi")
-    mask = box.contains(wps.points)
-    value = _phase_sum(wps.points[mask], _real_or_complex(wps.weights[mask]), xi) / box.volume
-    return FourierAverage(xi, value, box.volume, int(mask.sum()))
+    return FourierAverage(xi, _phase_sum(pts, _real_or_complex(w), xi) / box.volume, box.volume, len(pts))
 
 
 def _real_or_complex(c: np.ndarray) -> np.ndarray:
@@ -109,16 +106,12 @@ def _evaluator(wps: WeightedPointSet, boxes: list, estimator: str):
     returns the intensity in each box, |c^xi_B|^2 or its autocorrelation
     transform, for a validated frequency vector xi.
     """
-    for b in boxes:
-        if b.dim != wps.dim:
-            raise ValidationError(f"box dimension {b.dim} != point set dimension {wps.dim}")
     if estimator == "autocorr":
         patches = [autocorrelation(wps, b) for b in boxes]
         return ([p.point_count for p in patches],
                 lambda xi: [intensity_from_autocorr(p, xi) for p in patches])
-    masks = [b.contains(wps.points) for b in boxes]
-    parts = [(wps.points[m], _real_or_complex(wps.weights[m]), b.volume) for m, b in zip(masks, boxes)]
-    return ([int(m.sum()) for m in masks],
+    parts = [(pts, _real_or_complex(w), b.volume) for b in boxes for pts, w in [_in_box(wps, b)]]
+    return ([len(pts) for pts, _, _ in parts],
             lambda xi: [abs(_phase_sum(pts, w, xi) / vol) ** 2 for pts, w, vol in parts])
 
 
@@ -239,18 +232,17 @@ def _new_run(rows: int, dim: int, old: tuple = (), held: int = 0) -> tuple:
     return run
 
 
-def _aggregate_bins(run: tuple, m: int, cap: int, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray,
-                    lead: np.ndarray | None = None, every_pair: bool = False) -> tuple[tuple, int]:
-    """Write one batch of quantized pairs as bins, in key order, into rows m, ... of run.
+def _aggregate_bins(run: tuple, qkeys: np.ndarray, raw: np.ndarray, prod: np.ndarray, lead: np.ndarray,
+                    m: int, cap: int, every_pair: bool) -> tuple[tuple, int]:
+    """Write one batch of quantized pairs as bins, in (lead, key) order, into rows m, ... of run.
 
-    Returns the run and the row after the last bin. With a lead column the
-    pairs are grouped by (lead, key), so the bins of each lead value lie end
-    to end and may repeat a key. A run too short for the bins is replaced by
-    a copy with more rows, at most cap: every row of cap if the run was
-    empty, cap counts every pair (every_pair) and at least half the batch's
-    pairs are bins of their own, else twice the rows now needed.
+    Returns the run and the row after the last bin. The bins of each lead
+    value lie end to end and may repeat a key. A run too short for the bins
+    is replaced by a copy with more rows, at most cap: every row of cap if
+    the run was empty, cap counts every pair (every_pair) and at least half
+    the batch's pairs are bins of their own, else twice the rows now needed.
     """
-    order, head = _lexorder([lead, *qkeys.T] if lead is not None else qkeys.T)
+    order, head = _lexorder([lead, *qkeys.T])
     starts = np.flatnonzero(head)
     if m + len(starts) > len(run[0]):
         distinct = every_pair and not len(run[0]) and 2 * len(starts) >= len(order)
@@ -314,17 +306,16 @@ def _quantize(raw: np.ndarray, eps: float) -> np.ndarray:
 def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
     """Yield (x_i - x_j, w_i conj(w_j), lead) batches of the pairs i > j.
 
-    Without a radius, or in 1D: blocks of consecutive index offsets
-    k = i - j, offset-major, of at most _PAIR_BLOCK pairs or one offset,
-    filled by slices into (cap, dim) buffers reused from block to block;
-    lead holds k - k0 for the block's first offset k0. Each offset is
-    reduced whole, so the bins do not depend on the block boundaries. A 1D
-    radius drops the pairs beyond it, and the blocks stop after the first
-    offset that keeps none (the points are sorted, so no later offset keeps
-    one). A radius in 2D or more, lead None: kd-tree pairs ordered by (j, i),
-    in batches of _PAIR_BLOCK; ResourceLimitError first if n + 2 * pairs, the
-    ordered pairs counted as the unbounded path counts n * n, exceeds
-    _PAIR_BUDGET.
+    Each batch is a block of consecutive index offsets k = i - j, offset-major
+    and then by j, of at most _PAIR_BLOCK pairs or one offset; lead holds
+    k - k0 for the block's first offset k0. Each offset is reduced whole, so
+    the bins do not depend on the block boundaries. Without a radius, or in
+    1D, the blocks are filled by slices into (cap, dim) buffers reused from
+    block to block; a 1D radius drops the pairs beyond it, and the blocks stop
+    after the first offset that keeps none (the points are sorted, so no later
+    offset keeps one). A radius in 2D or more takes the kd-tree's pairs;
+    ResourceLimitError first if n + 2 * pairs, the ordered pairs counted as
+    the unbounded path counts n * n, exceeds _PAIR_BUDGET.
     """
     n, dim = pts.shape
     if n < 2:
@@ -339,11 +330,18 @@ def _pair_batches(pts: np.ndarray, w: np.ndarray, max_radius: float | None):
                 f"autocorrelation of {n} points within radius {max_radius:.3g} needs "
                 f"{count:.2e} pairs, over {_PAIR_BUDGET:.0e}; pass a smaller max_radius"
             )
-        pairs = tree.query_pairs(max_radius, output_type="ndarray")
-        pairs = pairs[_lexorder(pairs.T)[0]]
-        for start in range(0, len(pairs), _PAIR_BLOCK):
-            ij = pairs[start : start + _PAIR_BLOCK]
-            yield pts[ij[:, 1]] - pts[ij[:, 0]], w[ij[:, 1]] * np.conj(w[ij[:, 0]]), None
+        j, i = tree.query_pairs(max_radius, output_type="ndarray").T
+        off = i - j
+        order = _lexorder([off, j])[0]
+        i, j, off = i[order], j[order], off[order]
+        firsts = np.append(np.flatnonzero(np.diff(off, prepend=0)), len(off))  # each offset's first pair
+        start = 0
+        while start < len(off):
+            stop = firsts[max(np.searchsorted(firsts, start + _PAIR_BLOCK, "right") - 1,
+                              np.searchsorted(firsts, start, "right"))]
+            s = slice(start, stop)
+            yield pts[i[s]] - pts[j[s]], w[i[s]] * np.conj(w[j[s]]), off[s] - off[start]
+            start = stop
         return
     wc = np.conj(w)
     cap = min(max(_PAIR_BLOCK, n - 1), n * (n - 1) // 2)
@@ -383,12 +381,11 @@ def autocorrelation(
 
     bin_epsilon defaults to 1e-6 times the minimum separation and must stay
     below half the minimum separation so distinct points cannot share a bin.
-    Each batch of the pairs i > j (_pair_batches) is sorted by bin key
-    (_lexorder) and its bins are written in place after those before them,
-    into one run of a row per bin; a block of index offsets is sorted by
-    (offset, key), so its bins are its offsets' bins end to end. One more
-    sort, at the end, merges the rows in place, adding each bin's partial
-    sums in offset or batch order. The run is merged also whenever it holds
+    Each batch of the pairs i > j (_pair_batches), a block of index offsets,
+    is sorted by (offset, key) (_lexorder) and its bins, its offsets' bins
+    end to end, are written in place after those before them, into one run
+    of a row per bin. One more sort, at the end, merges the rows in place,
+    adding each bin's partial sums in offset order. The run is merged also whenever it holds
     over _BIN_BUDGET, so it never needs more than
     min(pairs, _BIN_BUDGET + one block) rows. The first batch sets how
     the run is reserved: without a radius, if its bins are at least half its
@@ -401,13 +398,9 @@ def autocorrelation(
     patch stores only the bins and the diagonal; their mirrors at -q are the
     exact conjugates.
     """
-    if box.dim != wps.dim:
-        raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
+    pts, w = _in_box(wps, box)
     if max_radius is not None and not max_radius > 0:
         raise ValidationError("max_radius must be positive or None for unbounded")
-    mask = box.contains(wps.points)
-    pts = wps.points[mask]
-    w = wps.weights[mask]
     n = len(pts)
     sep = _min_separation_raw(pts) if n > 1 else None
     if bin_epsilon is None:
@@ -430,7 +423,7 @@ def autocorrelation(
     cap = min(n * (n - 1) // 2, _BIN_BUDGET + max(_PAIR_BLOCK, n - 1))
     run, held = _new_run(0, dim), 0
     for d, prod, lead in _pair_batches(pts, w, max_radius):
-        run, held = _aggregate_bins(run, held, cap, _quantize(d, bin_epsilon), d, prod, lead, max_radius is None)
+        run, held = _aggregate_bins(run, _quantize(d, bin_epsilon), d, prod, lead, held, cap, max_radius is None)
         if held > _BIN_BUDGET:  # the rows may repeat a bin: count the distinct ones
             held = _merge_runs(run, held)
             if held > _BIN_BUDGET:

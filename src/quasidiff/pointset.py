@@ -504,17 +504,21 @@ def word_to_pointset(w: str, lengths: dict, origin: float = 0.0) -> WeightedPoin
     return WeightedPointSet(1, pts[:, None], None, meta)
 
 
+def _in_box(wps: WeightedPointSet, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of the patch inside the box; ValidationError if their dimensions differ."""
+    if box.dim != wps.dim:
+        raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
+    mask = box.contains(wps.points)
+    return wps.points[mask], wps.weights[mask]
+
+
 def density(wps: WeightedPointSet, box: Box) -> float:
     """Weight sum over the box divided by its volume (real part).
 
     The caller is responsible for the box lying inside the generated region;
     points are simply filtered by membership.
     """
-    if box.dim != wps.dim:
-        raise ValidationError(f"box dimension {box.dim} != patch dimension {wps.dim}")
-    mask = box.contains(wps.points) if len(wps) else np.zeros(0, dtype=bool)
-    total = complex(wps.weights[mask].sum()) if len(wps) else 0.0
-    return float(np.real(total)) / box.volume
+    return float(_in_box(wps, box)[1].sum().real) / box.volume
 
 
 def min_separation(wps: WeightedPointSet) -> float:

@@ -34,9 +34,9 @@ def _vanhove(center, side0, growth, count):
 
 
 def _dense_pairs(pts, w, max_radius):
-    # reference pair generator: every pair i > j in one batch, ordered by j, then i
+    # reference pair generator: every pair i > j in one batch, ordered by j, then i, of lead 0
     jj, ii = np.triu_indices(len(pts), 1)
-    yield pts[ii] - pts[jj], w[ii] * np.conj(w[jj]), None
+    yield pts[ii] - pts[jj], w[ii] * np.conj(w[jj]), np.zeros(len(ii), np.int64)
 
 
 def _half_by_key(p):
@@ -644,7 +644,7 @@ class TestAutocorrelation:
                 keep = d[:, 0] <= (np.inf if max_radius is None else max_radius)
                 if not keep.any():
                     break
-                yield d[keep], w[off:][keep] * np.conj(w[:-off][keep]), None
+                yield d[keep], w[off:][keep] * np.conj(w[:-off][keep]), np.zeros(keep.sum(), np.int64)
 
         rng = np.random.default_rng(2)
         if patch == "chain":  # a diluted integer chain: bins fed by many offsets
@@ -708,6 +708,36 @@ class TestAutocorrelation:
         patch = autocorrelation(wps, box, max_radius=0.02)
         for a, b in zip(_full_layout(patch), _full_layout(ref)):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("patch", ["diluted lattice", "random"])
+    def test_radius_blocks_match_the_per_offset_kd_tree_pairs(self, monkeypatch, patch, seed):
+        from scipy.spatial import cKDTree
+
+        from quasidiff import diffraction
+
+        def per_offset(pts, w, max_radius):
+            # reference: the kd-tree's pairs, one batch per index offset i - j, in order of j
+            j, i = cKDTree(pts).query_pairs(max_radius, output_type="ndarray").T
+            for off in np.unique(i - j):
+                jj = np.sort(j[i - j == off])
+                yield pts[jj + off] - pts[jj], w[jj + off] * np.conj(w[jj]), np.zeros(len(jj), np.int64)
+
+        rng = np.random.default_rng(seed)
+        if patch == "diluted lattice":  # bins fed by many offsets
+            pts = np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0), indexing="ij"), -1).reshape(-1, 2)
+            pts, radius = pts[rng.random(400) < 0.5], 5.0
+        else:  # every difference its own bin
+            pts, radius = 20 * rng.random((600, 2)), 1.3
+        wps = WeightedPointSet(2, pts, np.exp(1j * (pts[:, 0] + 0.3 * pts[:, 1])))
+        box = Box([-1.0, -1.0], [21.0, 21.0])
+        halves = []
+        for block in (2**15, 1000, 7):  # one batch, a few, one per offset or so
+            monkeypatch.setattr(diffraction, "_PAIR_BLOCK", block)
+            halves.append([a.tobytes() for a in autocorrelation(wps, box, max_radius=radius)._half])
+        assert halves[0] == halves[1] == halves[2]
+        monkeypatch.setattr(diffraction, "_pair_batches", per_offset)
+        assert [a.tobytes() for a in autocorrelation(wps, box, max_radius=radius)._half] == halves[0]
 
 
 class TestIntensityFromAutocorr:
