@@ -1,6 +1,6 @@
 """Kernels the estimators share: an exactly rounded sum, a stable sort of
-integer keys that marks where each run of equal keys starts, and the seeded
-random generator."""
+integer keys that marks where each run of equal keys starts, the bound on a
+phase that keeps fractional bits, and the seeded random generator."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalDiagnosticError, ValidationError
 
 # _exact_sum's level sums stay exact for fewer terms than this
 _EXACT_SUM_TERMS = 2**26
@@ -148,6 +148,27 @@ def _load(w: np.ndarray, col: np.ndarray, order: np.ndarray | None) -> None:
         np.take(col.view(np.uint64), order, out=w, mode="clip")
     else:
         w[...] = col if order is None else col[order]
+
+
+def _extent(x: np.ndarray) -> float:
+    """The largest |entry| of x, 0.0 for none, read without a temporary array."""
+    return float(max(x.max(initial=0.0), -x.min(initial=0.0)))
+
+
+def _phase_check(xi, extent: float) -> None:
+    """NumericalDiagnosticError if |xi|_1 * extent reaches 2**52.
+
+    Every phase xi.x with max|x| <= extent is then bounded by it, and one that
+    reaches 2**52 has no fractional bits left: its cosine is noise, or nan past
+    the float range. The bound is summed in Python floats, which overflow to
+    inf without a warning.
+    """
+    bound = sum(abs(v) for v in np.ravel(xi).tolist()) * extent
+    if bound >= 2.0**52:
+        raise NumericalDiagnosticError(
+            f"phases up to |xi|_1 * {extent:.6g} = {bound:.3g} at frequency {np.ravel(xi).tolist()} "
+            "reach 2**52 and have no fractional bits left"
+        )
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import _exact_sum, _lexorder
+from ._kernels import _exact_sum, _extent, _lexorder, _phase_check
 from .errors import NumericalDiagnosticError, ResourceLimitError, ValidationError
 from .geometry import Box, _vector
 from .pointset import WeightedPointSet, _in_box, _min_separation_raw
@@ -56,9 +56,11 @@ def fourier_average(wps: WeightedPointSet, box: Box, xi) -> FourierAverage:
     rounded once (_exact_sum, the bits of math.fsum), so the value does not
     depend on the order of the points or on the thread that computes it, is
     reproducible bit for bit, and satisfies |value| <= (sum |w| in box)/vol.
+    NumericalDiagnosticError if |xi|_1 max|x| over the points reaches 2**52.
     """
     pts, w = _in_box(wps, box)
     xi = _vector(xi, dim=wps.dim, name="xi")
+    _phase_check(xi, _extent(pts))
     return FourierAverage(xi, _phase_sum(pts, _real_or_complex(w), xi) / box.volume, box.volume, len(pts))
 
 
@@ -104,15 +106,22 @@ def _evaluator(wps: WeightedPointSet, boxes: list, estimator: str):
     The patch is restricted to each box once: its points and weights for
     fourier, one unbounded autocorrelation patch for autocorr. per_scale(xi)
     returns the intensity in each box, |c^xi_B|^2 or its autocorrelation
-    transform, for a validated frequency vector xi.
+    transform, for a validated frequency vector xi, and raises
+    NumericalDiagnosticError if |xi|_1 times the largest |x| (fourier) or
+    |z| (autocorr) over the boxes reaches 2**52.
     """
     if estimator == "autocorr":
         patches = [autocorrelation(wps, b) for b in boxes]
         return ([p.point_count for p in patches],
                 lambda xi: [intensity_from_autocorr(p, xi) for p in patches])
     parts = [(pts, _real_or_complex(w), b.volume) for b in boxes for pts, w in [_in_box(wps, b)]]
-    return ([len(pts) for pts, _, _ in parts],
-            lambda xi: [abs(_phase_sum(pts, w, xi) / vol) ** 2 for pts, w, vol in parts])
+    extent = max(_extent(pts) for pts, _, _ in parts)
+
+    def per_scale(xi):
+        _phase_check(xi, extent)
+        return [abs(_phase_sum(pts, w, xi) / vol) ** 2 for pts, w, vol in parts]
+
+    return [len(pts) for pts, _, _ in parts], per_scale
 
 
 def _convergence(intensities) -> tuple[float, bool, float]:
@@ -177,7 +186,8 @@ class AutocorrelationPatch:
     with the exact conjugate coefficient, and is never built. len(patch)
     counts the diagonal, every bin and its mirror. _weights, set once, is
     the coefficients as _phase_terms takes them: their real part when no
-    coefficient has an imaginary one.
+    coefficient has an imaginary one; _extent is the largest |z| over the
+    raw differences, the bound of intensity_from_autocorr's phase check.
     """
 
     _half: tuple
@@ -202,6 +212,7 @@ class AutocorrelationPatch:
             a.setflags(write=False)
         object.__setattr__(self, "_half", half)
         object.__setattr__(self, "_weights", _real_or_complex(coeffs))
+        object.__setattr__(self, "_extent", _extent(reps))
 
     def __len__(self) -> int:
         return 2 * len(self._half[0]) + 1
@@ -483,8 +494,11 @@ def intensity_from_autocorr(patch: AutocorrelationPatch, xi, averaging_box: Box 
     as its remainder. Over all bins the imaginary part cancels term by term;
     with an averaging box it is sum Im(term) (contains(r_q) - contains(-r_q)),
     which vanishes for a box symmetric about 0 and is checked, not returned.
+    NumericalDiagnosticError if |xi|_1 times the largest |z| over the bins
+    reaches 2**52.
     """
     xi = _vector(xi, dim=patch.dim, name="xi")
+    _phase_check(xi, patch._extent)
     reps, weights = patch._half[2], patch._weights
     if averaging_box is None:
         terms = np.empty(len(reps) + 1)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _lexorder, _rng
+from ._kernels import _lexorder, _phase_check, _rng
 from .errors import ValidationError
 from .geometry import Box, FisherFamily, fisher_boxes
 
@@ -87,7 +87,8 @@ def _observable_values(word: str, f: Observable, n: int, offset: int) -> np.ndar
 def _twisted_sums(word: str, f: Observable, alphas, windows) -> list[list]:
     """Rows (one per alpha) of np.sum of exp(-2 pi i alpha k) f(block at offset+k)
     over k < n, per (n, offset) window; f is evaluated once over the windows'
-    span and the phases once per alpha for the longest window."""
+    span and the phases once per alpha for the longest window.
+    NumericalDiagnosticError if |alpha| (n - 1) reaches 2**52 for the longest n."""
     alphas = [float(a) for a in alphas]
     if not all(np.isfinite(alphas)):
         raise ValidationError(f"alpha must be finite, got {alphas}")
@@ -101,9 +102,11 @@ def _twisted_sums(word: str, f: Observable, alphas, windows) -> list[list]:
                 f"window [offset, offset + n + 2 locality) = [{offset}, "
                 f"{offset + n + 2 * f.locality}) exceeds the word length {len(word)}"
             )
+    k = np.arange(max(n for n, _ in windows))
+    for alpha in alphas:
+        _phase_check(alpha, len(k) - 1)
     lo = min(o for _, o in windows)
     vals = _observable_values(word, f, max(n + o for n, o in windows) - lo, lo)
-    k = np.arange(max(n for n, _ in windows))
     phases = (np.exp(-2j * np.pi * alpha * k) for alpha in alphas)
     return [[np.sum(p[:n] * vals[o - lo : o - lo + n]) for n, o in windows] for p in phases]
 

@@ -494,7 +494,10 @@ def word_to_pointset(w: str, lengths: dict, origin: float = 0.0) -> WeightedPoin
         raise ValidationError(f"no length for symbol {exc.args[0]!r}")
     if not np.all(lens > 0):
         raise ValidationError("tile lengths must be positive")
-    pts = float(origin) + np.concatenate([[0.0], np.cumsum(lens[:-1])])
+    with np.errstate(over="ignore"):  # a chain past the float range ends at inf
+        pts = float(origin) + np.concatenate([[0.0], np.cumsum(lens[:-1])])
+    if not np.isfinite(pts[-1]):
+        raise ValidationError(f"a chain of {len(w)} tiles from {origin} passes the float range")
     meta = {
         "generator": "word",
         "params": {"lengths": {k: float(v) for k, v in sorted(lengths.items())},
@@ -537,16 +540,23 @@ def _min_separation_raw(pts: np.ndarray) -> float:
     with np.errstate(under="ignore", over="ignore"):
         if pts.shape[1] == 1:  # a gap past the float range rounds to inf
             return float(np.diff(pts[:, 0]).min())
-        h2 = _closest_pair(pts)
-    if sys.float_info.min <= h2 < math.inf:  # the least square neither under- nor overflowed
-        return math.sqrt(h2)
-    # again on the points scaled by 2**-k, 2**k the power of two just above the largest
-    # span, so that no square overflows; zero-span axes, whose coordinates could, are dropped
-    span = np.ptp(pts, axis=0)
-    if not span.any():
-        return 0.0
-    k = math.frexp(float(span.max()))[1]
-    return math.ldexp(math.sqrt(_closest_pair(np.ldexp(pts[:, span > 0], -k))), k)
+        span = np.ptp(pts, axis=0)  # inf past the float range, where the grid would fail
+        h2 = _closest_pair(pts) if span.max() < math.inf else math.inf
+        if sys.float_info.min <= h2 < math.inf:  # the least square neither under- nor overflowed
+            return math.sqrt(h2)
+        if not span.any():
+            return 0.0
+        # again on the points scaled by 2**-k, 2**k the power of two just above the largest
+        # span or the float range, so that no square overflows; zero-span axes, whose
+        # coordinates could, are dropped
+        k = math.frexp(min(float(span.max()), sys.float_info.max))[1]
+        scaled = np.ldexp(pts[:, span > 0], -k)
+        h2 = _closest_pair(scaled)
+        if h2 >= sys.float_info.min:
+            return math.ldexp(math.sqrt(h2), k)
+        # a square below the normal range lost bits, or all of them: measure the candidate
+        # pairs in the points' own units without squaring them that small
+        return _closest_pair(scaled, pts[:, span > 0])
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -557,7 +567,15 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _closest_pair(pts: np.ndarray) -> float:
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the rows of d, each row scaled by the power of two that puts its
+    largest |entry| in [1/2, 1) before the squares are summed, so that none is subnormal."""
+    e = np.frexp(np.abs(d).max(axis=1))[1]
+    s = np.ldexp(d, -e[:, None])
+    return np.ldexp(np.sqrt((s * s).sum(axis=1)), e)
+
+
+def _closest_pair(pts: np.ndarray, units: np.ndarray | None = None) -> float:
     """Least squared distance between two of the n >= 2 rows of pts, in 2D or more.
 
     Exact: the least squared distance, the squares summed in axis order, whose sqrt is
@@ -571,13 +589,20 @@ def _closest_pair(pts: np.ndarray) -> float:
     neighbours inside a cell, and the grid rebuilt if that halves it (crowded cells,
     as in tight columns). An h**2 of 0 or inf is returned at once: the caller rescales
     an inf, which would put every point in one cell.
+
+    Given units, the same rows in other units, the least square of pts is known to be
+    0 or subnormal, so the closest pair is far narrower than a cell of the coarsest
+    grid: that grid's candidate pairs are measured in units (_norms), and the least
+    length is returned.
     """
     n, dim = pts.shape
     lo, span = pts.min(axis=0), np.ptp(pts, axis=0)
-    by_x = pts[np.argsort(pts[:, 0], kind="stable")]
-    h2 = _sq_dist(by_x[1:], by_x[:-1]).min()
-    for regrid in (True, False):
-        if not 0 < h2 < math.inf:
+    h2 = 0.0
+    if units is None:
+        by_x = pts[np.argsort(pts[:, 0], kind="stable")]
+        h2 = _sq_dist(by_x[1:], by_x[:-1]).min()
+    for regrid in (units is None, False):
+        if units is None and not 0 < h2 < math.inf:
             return h2
         cell = max(math.sqrt(h2) * (1 + 2.0**-20), span.max() / _GRID_AXIS)
         while math.prod(int(c) for c in np.floor(span / cell) + 1) > 2**62:
@@ -589,10 +614,10 @@ def _closest_pair(pts: np.ndarray) -> float:
         order, head = _lexorder([key])
         key, q = key[order], pts[order]
         same = ~head[1:]
-        if not same.any():
+        if not (regrid and same.any()):
             break
         inner = _sq_dist(q[1:][same], q[:-1][same]).min()
-        if not (regrid and 4 * inner <= h2):
+        if 4 * inner > h2:
             break
         h2 = inner
     first = np.flatnonzero(head)
@@ -614,6 +639,8 @@ def _closest_pair(pts: np.ndarray) -> float:
     a, b = np.concatenate(a), np.concatenate(b)
     pairs = count[a] * count[b]
     ends, total = np.cumsum(pairs), int(pairs.sum())
+    if units is not None:
+        q, h2 = units[order], math.inf
     for t0 in range(0, total, _PAIR_BLOCK):
         t = np.arange(t0, min(t0 + _PAIR_BLOCK, total))
         c = np.searchsorted(ends, t, side="right")
@@ -622,5 +649,6 @@ def _closest_pair(pts: np.ndarray) -> float:
         i, j = first[a[c]] + t // width, first[b[c]] + t % width
         keep = i < j  # a cell with itself gives every ordered pair
         if keep.any():
-            h2 = min(h2, _sq_dist(q[i[keep]], q[j[keep]]).min())
+            x, y = q[i[keep]], q[j[keep]]
+            h2 = min(h2, (_sq_dist(x, y) if units is None else _norms(x - y)).min())
     return h2

@@ -545,6 +545,36 @@ class TestCheck:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv, code", [
+        (["diffract", "scan", "--input", "fib.json", "--box", "0,60", "--xi=1e-320,1.7e308"], 4),
+        (["diffract", "peak", "--input", "fib.json", "--xi", "1e17", "--vanhove", "10,2,3",
+          "--estimator", "autocorr"], 4),
+        (["diffract", "peaks", "--input", "fib.json", "--box", "0,60", "--xi=1e-9,-1.7e308",
+          "--floor", "0.01", "--refine"], 4),
+        (["check", "subadditive", "--input", "fib.json", "--xi", "1.7e308", "--scales", "2,4",
+          "--samples", "2", "--domain", "0,60"], 4),
+        (["ww", "--rules", "fibonacci", "--length", "1000", "--alpha=-1.7e308", "--lengths", "10,100"], 4),
+        (["gen", "substitution", "--rules", "fibonacci", "--length", "10", "--lengths", "a=1.7e308,b=1"], 2),
+        (["perturb", "displace", "--input", "lat.json", "--dist", "two_point:a=1.7e308", "--seed", "1"], 2),
+    ], ids=["scan", "peak-autocorr", "peaks-refine", "subadditive", "ww", "substitution-lengths",
+            "displace-2d"])
+    def test_past_the_float_range_exit_code(self, tmp_path, argv, code):
+        # a phase |xi|_1 max|x| of 2**52 or more has no fractional bits left (exit 4), and a
+        # chain or a displacement past the float range is invalid input (exit 2); with
+        # RuntimeWarnings as errors an overflow warning on the way would end in a traceback
+        assert run("gen", "model-set", "--scheme", "fibonacci", "--box", "0,60", "--output",
+                   str(tmp_path / "fib.json")) == 0
+        assert run("gen", "lattice", "--dim", "2", "--box", "0,0;3,3", "--output", str(tmp_path / "lat.json")) == 0
+        script = "import sys; from quasidiff.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script, *argv,
+                               "--output", "out"], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        prefix = "numerical diagnostic:" if code == 4 else "error:"
+        assert proc.stderr.count(prefix) == 1 and proc.stderr.startswith(prefix), proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

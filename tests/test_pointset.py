@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -323,9 +324,28 @@ class TestMinSeparation:
         ([[0.0, 0.0], [1e-100, 0.0], [1e100, 0.0]], 1e-100),  # squares normal as given, not scaled by the span
         # the pairs of the sort along axis 0 square to normals, the closest pair to 0
         ([[0.0, 0.0], [2.0**-570, 2.0**-460], [3 * 2.0**-570, 4 * 2.0**-570]], 5 * 2.0**-570),
+        # the least square stays 0 after scaling by the span: the candidate pairs are measured
+        ([[0.0, 0.0], [1e-200, 0.0], [1e-30, 0.0]], 1e-200),
+        # a span past the float range: scaled by 2**-1024 before any grid is built
+        ([[-1e308, 0.0], [-1e308, 1.0], [1e308, 0.0]], 1.0),
     ])
     def test_extreme_spacing(self, pts, want):
         assert min_separation(WeightedPointSet(2, pts)) == want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pair_below_the_normal_range(self, dim, seed):
+        # random points, one of them moved near the origin and one more point 2**-600 to
+        # 2**-1000 of the span away from it: their square is 0 or subnormal, scaled or not
+        rng = np.random.default_rng(seed)
+        t, e = int(rng.integers(600, 1001)), int(rng.integers(-20, 21))
+        pts = rng.random((100, dim))
+        pts[0] = np.ldexp(rng.random(dim), -t)
+        pts = np.ldexp(np.vstack([pts, pts[0] + np.ldexp(rng.uniform(-1.0, 1.0, dim), -t)]), e)
+        want = math.hypot(*(pts[-1] - pts[0]))
+        got = min_separation(WeightedPointSet(dim, pts))
+        assert abs(got - want) <= math.ulp(want)
 
     def test_tiny_spacing_builds_a_patch(self):
         # the default bin_epsilon is 1e-6 times the separation, which must not read 0
