@@ -4,18 +4,22 @@ Subcommands mirror the library: gen (lattice, model-set, substitution),
 perturb (percolate, displace), diffract (scan, peak, peaks), predict
 (model-set, perturbed), ww, check (lr, subadditive). Every output embeds the
 artifact version, the resolved configuration, and the SHA-256 of the main
-input file, and contains no timestamps: rerunning a command with identical
-inputs produces byte-identical files. Exit codes: 0 success, 2 validation
-error, 3 resource cap exceeded, 4 numerical diagnostic failure.
+input file's bytes as the command read them, once, and contains no
+timestamps: rerunning a command with identical inputs produces byte-identical
+files. A point set parsed from an input file is reused by later main calls in
+the same process that read the same bytes (_PARSED). Exit codes: 0 success, 2
+validation error, 3 resource cap exceeded, 4 numerical diagnostic failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import hashlib
 import json
 import sys
+from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -55,7 +59,8 @@ from .pointset import (
     Substitution,
     WeightedPointSet,
     _json_parts,
-    _read_json,
+    _json_record,
+    _text,
     _write_parts,
     named_substitution,
     substitution_fixed_point,
@@ -73,6 +78,9 @@ _CUBE_CAP = 1000
 _RADII_CAP = 10**4
 # most letters a word may have (gen substitution; ww and check lr, generated or read)
 _LETTER_CAP = 10**7
+# most coordinates (points times dimension) the point sets held across main calls hold in
+# total (_PARSED); an input with more is parsed at every call
+_HELD_COORDS = 2**20
 # most midpoint-rule nodes, --quad ** d_int, per deformed amplitude
 _QUAD_CAP = 10**7
 # most boxes check subadditive evaluates and reports, --samples times the scales
@@ -85,10 +93,12 @@ _THREADS_HELP = (
 )
 
 
-def _sha256(path: str | None) -> str | None:
-    if path is None:
-        return None
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read_input(path: str, what: str) -> tuple[bytes, str]:
+    """The bytes of the input file at path and their SHA-256 hex digest, for the envelope's
+    input_hash; an unreadable file raises ValidationError(f"{what}: ...")."""
+    with _invalid(what):
+        data = Path(path).read_bytes()
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -100,11 +110,11 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _envelope(args: argparse.Namespace, input_path: str | None) -> dict:
+def _envelope(args: argparse.Namespace, input_hash: str | None) -> dict:
     return {
         "version": __version__,
         "config": _resolved_config(args),
-        "input_hash": _sha256(input_path),
+        "input_hash": input_hash,
     }
 
 
@@ -117,16 +127,16 @@ def _emit(write, output: str | None) -> None:
         write(sys.stdout)
 
 
-def _emit_json(payload: dict, args: argparse.Namespace, input_path: str | None = None) -> None:
-    obj = dict(_envelope(args, input_path))
+def _emit_json(payload: dict, args: argparse.Namespace, input_hash: str | None = None) -> None:
+    obj = dict(_envelope(args, input_hash))
     obj.update(payload)
     with _invalid("output has a non-finite number"):
         parts = _json_parts(obj)
     _emit(functools.partial(_write_parts, parts + ["\n"]), args.output)
 
 
-def _csv_envelope(args: argparse.Namespace, input_path: str | None) -> dict:
-    env = _envelope(args, input_path)
+def _csv_envelope(args: argparse.Namespace, input_hash: str | None) -> dict:
+    env = _envelope(args, input_hash)
     return {
         "version": env["version"],
         "config": json.dumps(env["config"], sort_keys=True),
@@ -134,9 +144,9 @@ def _csv_envelope(args: argparse.Namespace, input_path: str | None) -> dict:
     }
 
 
-def _emit_csv(args: argparse.Namespace, input_path: str | None, head: list, rows) -> None:
+def _emit_csv(args: argparse.Namespace, input_hash: str | None, head: list, rows) -> None:
     """The envelope, header and rows as a CSV table (_write_csv) to the output."""
-    env = _csv_envelope(args, input_path)
+    env = _csv_envelope(args, input_hash)
     _emit(lambda fh: _write_csv(fh, env, head, rows), args.output)
 
 
@@ -265,31 +275,83 @@ def _parse_model(text: str) -> RandomModel:
 
 
 def _load_scheme(text: str):
-    """Preset name or scheme JSON file; returns (scheme, deformation or None)."""
+    """Preset name or scheme JSON file; returns (scheme, deformation or None, the file's
+    digest or None)."""
     if Path(text).is_file():
-        with _invalid(f"scheme file {text}"):
-            return CutProjectScheme.from_json(json.loads(Path(text).read_text()))
-    return preset_scheme(text), None
+        what = f"scheme file {text}"
+        data, digest = _read_input(text, what)
+        with _invalid(what):
+            return (*CutProjectScheme.from_json(json.loads(_text(data))), digest)
+    return preset_scheme(text), None, None
 
 
-def _load_pointset(path: str) -> WeightedPointSet:
+class _ParsedPointSets:
+    """Point sets parsed from input files, keyed by the SHA-256 digest of the bytes parsed,
+    least recently used first, holding at most budget coordinates (points times dimension)
+    in total. An entry holds the canonical read-only points, the weights only when some
+    weight is not 1, and a copy of meta; get rebuilds the point set with a fresh copy of
+    meta, so that no caller sees another's edits."""
+
+    def __init__(self, budget: int):
+        self.budget, self.coords = budget, 0
+        self.entries = OrderedDict()  # digest -> (dim, points, weights or None, meta)
+
+    def get(self, digest: str) -> WeightedPointSet | None:
+        entry = self.entries.get(digest)
+        if entry is None:
+            return None
+        self.entries.move_to_end(digest)
+        dim, points, weights, meta = entry
+        return WeightedPointSet(dim, points, weights, copy.deepcopy(meta))
+
+    def put(self, digest: str, wps: WeightedPointSet) -> None:
+        """Hold wps under digest, unless it is empty or over the budget on its own."""
+        size = wps.points.size
+        if not 0 < size <= self.budget:
+            return
+        while self.coords + size > self.budget:
+            self.coords -= self.entries.popitem(last=False)[1][1].size
+        weights = wps.weights if np.any(wps.weights != 1) else None
+        self.entries[digest] = (wps.dim, wps.points, weights, copy.deepcopy(wps.meta))
+        self.coords += size
+
+
+# the point sets this process has parsed (held across main calls)
+_PARSED = _ParsedPointSets(_HELD_COORDS)
+
+
+def _load_pointset(path: str) -> tuple[WeightedPointSet, str]:
+    """The point set in the file at path, read once, and the SHA-256 digest of its bytes.
+
+    A point set parsed from the same bytes before is taken from _PARSED; a file that fails
+    to parse is not held, so it fails the same way at every call."""
     what = f"point-set file {path}"
-    with _invalid(what), Path(path).open("rb") as fh:
-        return _read_json(fh, what)
+    data, digest = _read_input(path, what)
+    wps = _PARSED.get(digest)
+    if wps is None:
+        with _invalid(what):
+            rec = _json_record(data, what)
+            del data  # not held while the point set is sorted
+            wps = WeightedPointSet.from_json(rec)
+        _PARSED.put(digest, wps)
+    return wps, digest
 
 
-def _write_pointset(wps: WeightedPointSet, args: argparse.Namespace, input_path: str | None = None) -> None:
-    _emit_json({"pointset": wps._record()}, args, input_path)
+def _write_pointset(wps: WeightedPointSet, args: argparse.Namespace, input_hash: str | None = None) -> None:
+    _emit_json({"pointset": wps._record()}, args, input_hash)
 
 
-def _load_substitution(args: argparse.Namespace) -> Substitution:
+def _load_substitution(args: argparse.Namespace) -> tuple[Substitution, str | None]:
+    """The substitution --rules names, and the digest of its file (None for a preset)."""
     name = args.rules
     if Path(name).is_file():
-        with _invalid(f"substitution file {name}"):
-            obj = json.loads(Path(name).read_text())
+        what = f"substitution file {name}"
+        data, digest = _read_input(name, what)
+        with _invalid(what):
+            obj = json.loads(_text(data))
             lengths = {k: float(v) for k, v in obj["lengths"].items()}
-            return Substitution(tuple(obj["alphabet"]), dict(obj["rules"]), lengths, obj["seed"])
-    return named_substitution(name)
+            return Substitution(tuple(obj["alphabet"]), dict(obj["rules"]), lengths, obj["seed"]), digest
+    return named_substitution(name), None
 
 
 def _letters(n: int) -> int:
@@ -300,18 +362,20 @@ def _letters(n: int) -> int:
 
 
 def _resolve_word(args: argparse.Namespace, min_letters: int = 1) -> tuple[str, str | None]:
-    """Word text plus the path that should be hashed (None for generated words).
+    """Word text plus the digest of the word file (None for generated words).
 
     Generated words are extended past --length when the command's windows need
     more letters; the fixed point is unique, so this never changes any value.
     """
     if getattr(args, "word_file", None):
-        with _invalid(f"cannot read word file {args.word_file}"):
-            word = Path(args.word_file).read_text().strip()
+        what = f"cannot read word file {args.word_file}"
+        data, digest = _read_input(args.word_file, what)
+        with _invalid(what):
+            word = _text(data).strip()
         _letters(len(word))
-        return word, args.word_file
+        return word, digest
     if getattr(args, "rules", None):
-        s = _load_substitution(args)
+        s, _ = _load_substitution(args)
         n = _letters(max(args.length, min_letters))
         return substitution_fixed_point(s, n)[:n], None
     raise ValidationError("pass either --word-file or --rules (with --length)")
@@ -339,15 +403,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
         wps = lattice_points(args.dim, box, args.spacing)
         _write_pointset(wps, args)
     elif args.subcommand == "model-set":
-        scheme, theta = _load_scheme(args.scheme)
+        scheme, theta, digest = _load_scheme(args.scheme)
         box = _parse_box(args.box)
         if theta is None:
             wps = model_set(scheme, box, cap=args.cap)
         else:
             wps = deformed_model_set(scheme, theta, box, cap=args.cap)
-        _write_pointset(wps, args, args.scheme if Path(args.scheme).is_file() else None)
+        _write_pointset(wps, args, digest)
     else:
-        s = _load_substitution(args)
+        s, digest = _load_substitution(args)
         if args.lengths:
             lengths = _parse_params(
                 args.lengths, "tile length", "tile lengths look like a=1.618,b=1; got {item}"
@@ -356,22 +420,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
         n = _letters(args.length)
         word = substitution_fixed_point(s, n)[:n]
         wps = word_to_pointset(word, s.lengths, origin=args.origin)
-        _write_pointset(wps, args, args.rules if Path(args.rules).is_file() else None)
+        _write_pointset(wps, args, digest)
     return 0
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
-    wps = _load_pointset(args.input)
+    wps, digest = _load_pointset(args.input)
     if args.subcommand == "percolate":
         out = percolate(wps, args.p, args.seed)
     else:
         out = displace(wps, _parse_dist(args.dist), args.seed)
-    _write_pointset(out, args, args.input)
+    _write_pointset(out, args, digest)
     return 0
 
 
 def cmd_diffract(args: argparse.Namespace) -> int:
-    wps = _load_pointset(args.input)
+    wps, digest = _load_pointset(args.input)
     if args.subcommand == "scan":
         box = _parse_box(args.box)
         sp = scan_spectrum(wps, box, _parse_grid(args.xi), estimator=args.estimator, threads=args.threads)
@@ -403,16 +467,16 @@ def cmd_diffract(args: argparse.Namespace) -> int:
                 return per_scale(_vector([x], name="xi"))[0]
 
         peaks = find_peaks(sp, args.floor, refine=refine)
-        _emit_csv(args, args.input, ["xi_1", "intensity"], [(p.xi, p.intensity) for p in peaks])
+        _emit_csv(args, digest, ["xi_1", "intensity"], [(p.xi, p.intensity) for p in peaks])
         return 0
-    env = _csv_envelope(args, args.input)
+    env = _csv_envelope(args, digest)
     _emit(lambda fh: spectrum_to_csv(sp, fh, env), args.output)
     return 0
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     if args.subcommand == "model-set":
-        scheme, theta = _load_scheme(args.scheme)
+        scheme, theta, digest = _load_scheme(args.scheme)
         # deformed_amplitude itself rejects --quad below 2
         if theta is not None and max(args.quad, 0) ** scheme.d_int > _QUAD_CAP:
             raise ResourceLimitError(
@@ -430,19 +494,21 @@ def cmd_predict(args: argparse.Namespace) -> int:
         rows.sort(key=lambda r: (-r[1], tuple(r[0].k)))
         head = [f"k_{j + 1}" for j in range(scheme.d_phys)]
         head += [f"kstar_{j + 1}" for j in range(scheme.d_int)]
-        _emit_csv(args, args.scheme if Path(args.scheme).is_file() else None, head + ["intensity"],
+        _emit_csv(args, digest, head + ["intensity"],
                   [(*c.k, *c.k_star, inten) for c, inten in rows])
     else:  # perturbed
         model = _parse_model(args.model)
-        with _invalid(f"base spectrum {args.base_spectrum}"), open(args.base_spectrum) as fh:
-            sp, _ = spectrum_from_csv(fh)
+        what = f"base spectrum {args.base_spectrum}"
+        data, digest = _read_input(args.base_spectrum, what)
+        with _invalid(what):
+            sp, _ = spectrum_from_csv(_text(data).split("\n"))  # a text file's lines, less their "\n"
         rows = []
         for e in sp.entries:
             n0 = args.n0 if args.n0 is not None else e.point_count / e.box_volume
             pred = predicted_intensity(model, e.intensity, np.array(e.xi), n0)
             rows.append((*e.xi, pred["point_part"], pred["diffuse_level"]))
         head = [f"xi_{j + 1}" for j in range(sp.dim)] + ["point_part", "diffuse_level"]
-        _emit_csv(args, args.base_spectrum, head, rows)
+        _emit_csv(args, digest, head, rows)
     return 0
 
 
@@ -452,27 +518,27 @@ def cmd_ww(args: argparse.Namespace) -> int:
     if not lengths or not offsets:
         raise ValidationError("--lengths and --offsets each need at least one integer")
     f = _parse_observable(args.f)
-    word, hash_path = _resolve_word(
+    word, digest = _resolve_word(
         args, min_letters=max(lengths) + max(offsets) + 2 * (f.locality if f else 0)
     )
     if f is None:
         f = Observable.indicator(args.f.split(":", 1)[1], sorted(set(word)))
     report = ww_report(word, f, args.alpha, lengths, offsets)
-    _emit_json(report.to_json(), args, hash_path)
+    _emit_json(report.to_json(), args, digest)
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.subcommand == "lr":
         radii = _parse_radii(args.radii)
-        word, hash_path = _resolve_word(args, min_letters=4 * max(radii) if radii else 1)
+        word, digest = _resolve_word(args, min_letters=4 * max(radii) if radii else 1)
         result = check_linear_repetitivity(word, radii)
         payload = {
             "radii": radii,
             "constants": result["constants"],
             "C_estimate": result["C_estimate"],
         }
-        _emit_json(payload, args, hash_path)
+        _emit_json(payload, args, digest)
     else:  # subadditive
         scales = _parse_floats(args.scales)
         if args.samples * len(scales) > _SAMPLE_CAP:
@@ -480,7 +546,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"--samples {args.samples} at {len(scales)} scales is {args.samples * len(scales)} "
                 f"boxes, over {_SAMPLE_CAP}"
             )
-        wps = _load_pointset(args.input)
+        wps, digest = _load_pointset(args.input)
         xi = np.array(_parse_vector(args.xi))
         if args.domain is not None:
             domain = _parse_box(args.domain)
@@ -498,7 +564,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             args.seed,
             domain=domain,
         )
-        _emit_json(report.to_json(), args, args.input)
+        _emit_json(report.to_json(), args, digest)
     return 0
 
 

@@ -268,7 +268,7 @@ def _aggregate_bins(run: tuple, qkeys: np.ndarray, raw: np.ndarray, prod: np.nda
     np.take(qkeys, order[starts], axis=0, out=keys, mode="clip")
     for part, out in ((prod.real, sums.real), (prod.imag, sums.imag)):
         np.add.reduceat(part[order], starts, out=out)
-    ds = raw[order]
+    ds = np.take(raw, order, axis=0)  # a row gather, faster than raw[order]
     np.take(ds, starts, axis=0, out=reps, mode="clip")
     np.minimum.reduceat(ds, starts, out=mins)
     np.maximum.reduceat(ds, starts, out=maxs)
@@ -295,11 +295,11 @@ def _merge_runs(run: tuple, m: int) -> int:
     seen = np.argsort(first)
     k, rows = len(starts), first[seen]
     # a column at a time, so that one column's gathered copy is alive at once
-    keys[:k] = keys[rows]
+    keys[:k] = np.take(keys, rows, axis=0)
     sums[:k] = total[seen]
-    reps[:k] = reps[rows]
-    mins[:k] = np.minimum.reduceat(mins[order], starts)[seen]
-    maxs[:k] = np.maximum.reduceat(maxs[order], starts)[seen]
+    reps[:k] = np.take(reps, rows, axis=0)
+    mins[:k] = np.minimum.reduceat(np.take(mins, order, axis=0), starts)[seen]
+    maxs[:k] = np.maximum.reduceat(np.take(maxs, order, axis=0), starts)[seen]
     return k
 
 

@@ -37,7 +37,8 @@ class Box:
     Parameters
     ----------
     lo, hi : array_like
-        Corner vectors with lo[j] < hi[j] for every axis.
+        Corner vectors with lo[j] < hi[j] for every axis, and a volume (the product
+        of the sides hi[j] - lo[j]) that is finite and above 0.
     """
 
     lo: np.ndarray
@@ -48,6 +49,12 @@ class Box:
         hi = _vector(self.hi, dim=lo.size, name="hi")
         if not np.all(lo < hi):
             raise ValidationError(f"box requires lo < hi per axis, got lo={lo}, hi={hi}")
+        # every side is positive, so the volume is finite and positive only if every side is
+        # finite too; a side or volume past the float range is inf, one below it may be 0
+        with np.errstate(over="ignore"):
+            volume = float(np.prod(hi - lo))
+        if not 0 < volume < math.inf:
+            raise ValidationError(f"box lo={lo}, hi={hi} has volume {volume}, not a positive finite float")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

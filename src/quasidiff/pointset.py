@@ -153,7 +153,8 @@ class WeightedPointSet:
     @classmethod
     def load(cls, fp) -> "WeightedPointSet":
         """The point set in the JSON text of fp (text or binary), bare or under "pointset"."""
-        return _read_json(fp, "point-set JSON")
+        # the text is dropped when _json_record returns, before the points are sorted
+        return cls.from_json(_json_record(fp.read(), "point-set JSON"))
 
 
 def _json_parts(v, nl: str = "\n") -> list:
@@ -202,22 +203,26 @@ def _write_parts(parts: list, fp) -> None:
             fp.writelines(part)
 
 
-def _read_json(fp, what: str) -> WeightedPointSet:
-    """The point set in the JSON text of the text or binary file fp, bare or under the
-    key "pointset". A text that is not JSON raises ValidationError(f"{what}: ...").
+def _json_record(data, what: str):
+    """The point-set record (for from_json) in the JSON text data, a str or the bytes of a
+    file: the object, or its value at "pointset". A text that is not JSON raises
+    ValidationError(f"{what}: ...").
 
-    _parse_rows reads the text when it can; otherwise json.loads reads it, the text of a
-    binary file decoded as a text-mode open() decodes it. The two give the same point
-    set, or the same error, from every text (tests/test_pointset.py::TestReader)."""
-    data = fp.read()
+    _parse_rows reads the text when it can; otherwise json.loads reads it, bytes decoded as
+    a text-mode open() decodes them (_text). The two give the same point set, or the same
+    error, from every text (tests/test_pointset.py::TestReader)."""
     obj = _parse_rows(data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data)
     if obj is None:
         try:
-            obj = json.loads(data if isinstance(data, str) else io.TextIOWrapper(io.BytesIO(data)).read())
+            obj = json.loads(data if isinstance(data, str) else _text(data))
         except ValueError as exc:
             raise ValidationError(f"{what}: {exc}") from exc
-    del data  # not held while the point set is sorted
-    return WeightedPointSet.from_json(obj.get("pointset", obj) if isinstance(obj, dict) else obj)
+    return obj.get("pointset", obj) if isinstance(obj, dict) else obj
+
+
+def _text(data: bytes) -> str:
+    """The text a text-mode open() reads from a file of these bytes."""
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
 def _parse_rows(data: bytes):
@@ -508,11 +513,19 @@ def word_to_pointset(w: str, lengths: dict, origin: float = 0.0) -> WeightedPoin
 
 
 def _in_box(wps: WeightedPointSet, box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights) of the patch inside the box; ValidationError if their dimensions differ."""
+    """(points, weights) of the patch inside the box; ValidationError if their dimensions differ.
+
+    The canonical order sorts the first coordinate, so the points with lo <= x_1 < hi are
+    one slice, found by bisection: in 1D the result is that slice (read-only views), in
+    more dimensions the rows of it inside the box."""
     if box.dim != wps.dim:
         raise ValidationError(f"box dimension {box.dim} != point set dimension {wps.dim}")
-    mask = box.contains(wps.points)
-    return wps.points[mask], wps.weights[mask]
+    i, j = np.searchsorted(wps.points[:, 0], [box.lo[0], box.hi[0]])
+    pts, w = wps.points[i:j], wps.weights[i:j]
+    if wps.dim == 1:
+        return pts, w
+    mask = box.contains(pts)
+    return pts[mask], w[mask]
 
 
 def density(wps: WeightedPointSet, box: Box) -> float:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from quasidiff import Box, ValidationError, WeightedPointSet, model_set, spectrum_from_csv
 from quasidiff.cli import main
+from test_pointset import _PINNED_FILES
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -141,8 +142,9 @@ class TestGen:
         assert "candidate cap" in capsys.readouterr().err
 
     def test_region_past_the_float_range_exit_code(self, tmp_path):
-        # the preimage bounds overflow to inf; with RuntimeWarnings as errors an
-        # overflow warning would end in a traceback and exit 1
+        # a side of 3.4e308 overflows to inf; with RuntimeWarnings as errors an
+        # overflow warning would end in a traceback and exit 1. The box is refused as
+        # it is parsed, before the preimage bounds (which once overflowed) are formed
         script = (
             "import sys; from quasidiff.cli import main\n"
             "sys.exit(main(['gen', 'model-set', '--scheme', 'fibonacci', '--box=-1.7e308,1.7e308',\n"
@@ -151,8 +153,8 @@ class TestGen:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
                               cwd=tmp_path, env=env, capture_output=True, text=True)
-        assert proc.returncode == 3
-        assert "candidate cap" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.returncode == 2
+        assert "has volume inf" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestPerturb:
@@ -556,12 +558,21 @@ class TestErrors:
         (["ww", "--rules", "fibonacci", "--length", "1000", "--alpha=-1.7e308", "--lengths", "10,100"], 4),
         (["gen", "substitution", "--rules", "fibonacci", "--length", "10", "--lengths", "a=1.7e308,b=1"], 2),
         (["perturb", "displace", "--input", "lat.json", "--dist", "two_point:a=1.7e308", "--seed", "1"], 2),
+        (["diffract", "scan", "--input", "lat.json", "--box=0,0;1e-200,1e-200", "--xi", "0,0"], 2),
+        (["diffract", "scan", "--input", "lat.json", "--box=0,0;1e200,1e200", "--xi", "0,0"], 2),
+        (["diffract", "scan", "--input", "fib.json", "--box=-1.7e308,1.7e308", "--xi", "0"], 2),
+        (["diffract", "scan", "--input", "fib.json", "--box=-1.7e308,1.7e308", "--xi", "0",
+          "--estimator", "autocorr"], 2),
+        (["check", "subadditive", "--input", "fib.json", "--xi", "0", "--scales", "2,4",
+          "--samples", "2", "--domain=-1.7e308,1.7e308"], 2),
     ], ids=["scan", "peak-autocorr", "peaks-refine", "subadditive", "ww", "substitution-lengths",
-            "displace-2d"])
+            "displace-2d", "box-volume-underflow", "box-volume-overflow", "box-side-overflow",
+            "box-side-overflow-autocorr", "subadditive-domain"])
     def test_past_the_float_range_exit_code(self, tmp_path, argv, code):
         # a phase |xi|_1 max|x| of 2**52 or more has no fractional bits left (exit 4), and a
-        # chain or a displacement past the float range is invalid input (exit 2); with
-        # RuntimeWarnings as errors an overflow warning on the way would end in a traceback
+        # chain, a displacement, a box side or a box volume past the float range, or a box
+        # volume of 0, is invalid input (exit 2); with RuntimeWarnings as errors an overflow
+        # warning on the way would end in a traceback
         assert run("gen", "model-set", "--scheme", "fibonacci", "--box", "0,60", "--output",
                    str(tmp_path / "fib.json")) == 0
         assert run("gen", "lattice", "--dim", "2", "--box", "0,0;3,3", "--output", str(tmp_path / "lat.json")) == 0
@@ -1056,3 +1067,133 @@ class TestSharedParser:
         for argv in sequence:
             assert call(argv) == fresh[argv], argv
         assert cli._build_parser.cache_info().misses == 1
+
+
+def _loads(path, n=2):
+    """n reads of the point-set file at path through the CLI loader, each as
+    _pointset_outcome reports it, with the digest of a read that succeeded."""
+    from quasidiff.cli import _load_pointset
+
+    def outcome():
+        try:
+            wps, digest = _load_pointset(str(path))
+        except ValidationError as exc:
+            return "error", str(exc)
+        return ("ok", wps.dim, wps.points.view(np.int64).tolist(), wps.weights.view(np.int64).tolist(),
+                repr(wps.meta), digest)
+
+    return [outcome() for _ in range(n)]
+
+
+class TestParsedPointSets:
+    @pytest.fixture(autouse=True)
+    def parsed(self, monkeypatch):
+        from quasidiff import cli
+
+        held = cli._ParsedPointSets(cli._HELD_COORDS)
+        monkeypatch.setattr(cli, "_PARSED", held)
+        return held
+
+    @pytest.mark.parametrize("data", _PINNED_FILES)
+    def test_a_hit_reads_as_a_parse(self, data, tmp_path, parsed, monkeypatch):
+        from quasidiff import cli
+
+        path = tmp_path / "p.json"
+        path.write_bytes(data)
+        first = _loads(path, 1)[0]
+        if first[0] == "error" or not len(first[2]):
+            assert not parsed.entries  # errors and empty sets are parsed at every read
+            assert _loads(path, 1)[0] == first
+            return
+        digest = hashlib.sha256(data).hexdigest()
+        assert first[-1] == digest and list(parsed.entries) == [digest]
+
+        def no_parse(*args):
+            raise AssertionError("a held point set was parsed again")
+
+        monkeypatch.setattr(cli, "_json_record", no_parse)
+        assert _loads(path, 1)[0] == first
+
+    def test_weights_held_only_when_not_all_one(self, tmp_path, parsed):
+        for name, w in (("unit.json", None), ("weighted.json", [1.0, 0.5j])):
+            with open(tmp_path / name, "w") as fh:
+                WeightedPointSet(1, [[0.0], [1.0]], w).dump(fh)
+            a, b = _loads(tmp_path / name)
+            assert a == b
+        assert [entry[2] is None for entry in parsed.entries.values()] == [True, False]
+
+    def test_editing_a_returned_meta_does_not_reach_the_next_load(self, tmp_path):
+        from quasidiff.cli import _load_pointset
+
+        path = tmp_path / "w.json"
+        with open(path, "w") as fh:
+            _weighted_patch().dump(fh)
+        wps, _ = _load_pointset(str(path))
+        wps.meta["params"]["note"] = "edited"
+        wps.meta["seed"] = 8
+        again, _ = _load_pointset(str(path))
+        assert again.meta == _weighted_patch().meta
+        again.meta["params"]["note"] = "edited twice"
+        assert _load_pointset(str(path))[0].meta == _weighted_patch().meta
+
+    def test_a_rewritten_path_gives_the_new_set_and_hash(self, tmp_path, parsed):
+        path, out = tmp_path / "lat.json", tmp_path / "scan.csv"
+        counts = []
+        for box in ("0,50", "0,30", "0,50"):
+            assert run("gen", "lattice", "--box", box, "--output", str(path)) == 0
+            assert run("diffract", "scan", "--input", str(path), "--box", "0,50", "--xi", "0",
+                       "--output", str(out)) == 0
+            sp, env = spectrum_from_csv(out.open())
+            assert env["input_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            counts.append(sp.entries[0].point_count)
+        assert counts == [50, 30, 50]
+        assert len(parsed.entries) == 2
+
+    def test_a_malformed_file_fails_the_same_way_and_is_not_held(self, tmp_path, parsed, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"dim": 1, "points": [[1.0], [1.0]]}')
+        first, second = _loads(path)
+        assert first == second and first[0] == "error" and "duplicate point" in first[1]
+        assert not parsed.entries and parsed.coords == 0
+        args = ("diffract", "scan", "--input", str(path), "--box", "0,2", "--xi", "0")
+        assert run(*args) == run(*args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: duplicate point at [1.0]"] * 2
+
+    def test_held_coordinates_never_exceed_the_budget(self, tmp_path, monkeypatch):
+        from quasidiff import cli
+
+        held = cli._ParsedPointSets(100)
+        monkeypatch.setattr(cli, "_PARSED", held)
+        sizes = {}
+        for i, (dim, side) in enumerate([(1, 40), (2, 5), (1, 30), (2, 7), (1, 101), (1, 100), (1, 40)]):
+            path = tmp_path / f"p{i}.json"
+            box = f"0,{side}" if dim == 1 else f"0,0;{side},{side}"
+            assert run("gen", "lattice", "--dim", str(dim), "--box", box, "--output", str(path)) == 0
+            wps, digest = cli._load_pointset(str(path))
+            sizes[digest] = wps.points.size
+            assert held.coords == sum(sizes[d] for d in held.entries) <= held.budget
+            # the set just read is held unless it alone is over the budget
+            assert (digest in held.entries) == (wps.points.size <= held.budget)
+            assert list(held.entries)[-1:] == [digest] or wps.points.size > held.budget
+        # the 101-point set was never held; the 100-point one evicted every other
+        assert [sizes[d] for d in held.entries] == [40]
+
+    def test_a_scan_opens_its_input_once(self, tmp_path, lattice_file, monkeypatch):
+        import builtins
+
+        opened = []
+        real = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append(os.path.realpath(file))
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        for _ in range(2):  # the second scan finds the point set held, and still reads the file
+            opened.clear()
+            assert run("diffract", "scan", "--input", str(lattice_file), "--box", "0,2000", "--xi", "0,0.5",
+                       "--output", str(tmp_path / "scan.csv")) == 0
+            assert opened.count(os.path.realpath(lattice_file)) == 1

@@ -26,8 +26,11 @@ class TestBox:
         b = Box.interval(0.0, 5.0)
         assert b.dim == 1 and b.volume == 5.0
 
-    @pytest.mark.parametrize("lo,hi", [([0.0], [0.0]), ([1.0], [0.0]), ([0, 0], [1, 0])])
+    @pytest.mark.parametrize("lo,hi", [([0.0], [0.0]), ([1.0], [0.0]), ([0, 0], [1, 0]),
+                                       ([0, 0], [1e-200, 1e-200]), ([0, 0], [1e200, 1e200]),
+                                       ([-1.7e308], [1.7e308])])
     def test_degenerate_rejected(self, lo, hi):
+        # the last three have a volume of 0, or a volume or a side past the float range
         with pytest.raises(ValidationError):
             Box(lo, hi)
 

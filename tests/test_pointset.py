@@ -23,7 +23,7 @@ from quasidiff import (
     substitution_fixed_point,
     word_to_pointset,
 )
-from quasidiff import pointset
+from quasidiff import cli, pointset
 from quasidiff.cli import _load_pointset
 from quasidiff.pointset import _json_parts, _min_separation_raw, _parse_rows, _write_parts
 
@@ -257,6 +257,24 @@ def _layouts(draw):
     if draw(st.booleans()):
         pts = pts + 1e9
     return pts[rng.permutation(len(pts))]
+
+
+class TestInBox:
+    @given(dim=st.integers(1, 3), rows=st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=1, max_size=60),
+           lo=st.tuples(*[st.integers(-5, 5)] * 3), sides=st.tuples(*[st.integers(1, 6)] * 3))
+    @settings(max_examples=100, deadline=None)
+    def test_bisection_keeps_the_masked_rows(self, dim, rows, lo, sides):
+        # coordinates and box edges on a grid of halves, so that edges fall on points
+        # (and -0.0 on 0.0); the result is the rows Box.contains keeps, in their order
+        pts = np.unique(np.array(rows, dtype=float)[:, :dim], axis=0) / 2
+        pts[pts == 0] = -0.0
+        wps = WeightedPointSet(dim, pts, np.arange(len(pts)) + 1j)
+        box = Box(np.array(lo[:dim]) / 2, (np.array(lo[:dim]) + sides[:dim]) / 2)
+        got_pts, got_w = pointset._in_box(wps, box)
+        mask = box.contains(wps.points)
+        assert got_pts.tobytes() == wps.points[mask].tobytes() and got_w.tobytes() == wps.weights[mask].tobytes()
+        if dim == 1:  # slices of the patch's own arrays
+            assert not got_pts.flags.writeable and not got_w.flags.writeable
 
 
 class TestMinSeparation:
@@ -604,13 +622,15 @@ class TestReader:
     def _same(self, scratch, data: bytes):
         """The outcome of reading data, the same as the reference's with chunks shorter than
         some rows (which fall back to json.loads), of a row or a few (at most 95 bytes a row
-        here), and of _READ_CHUNK bytes."""
+        here), and of _READ_CHUNK bytes; each read starts from no held point set, so that
+        each one parses."""
         scratch.write_bytes(data)
         want = _reference_outcome(scratch)
         for chunk in (16, 128, pointset._READ_CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(pointset, "_READ_CHUNK", chunk)
-                assert _pointset_outcome(lambda: _load_pointset(str(scratch))) == want, (chunk, data)
+                mp.setattr(cli, "_PARSED", cli._ParsedPointSets(cli._HELD_COORDS))
+                assert _pointset_outcome(lambda: _load_pointset(str(scratch))[0]) == want, (chunk, data)
         return want
 
     @pytest.mark.parametrize("data", _PINNED_FILES)

@@ -8,7 +8,10 @@ both estimators, 1D and 2D, displaced and percolated patches), through
 base, once with the working tree's. Each side runs in a fresh directory of
 the same layout, and later commands read the outputs of earlier ones by the
 same relative paths, so the configs and input hashes written into the outputs
-match. exits.txt records each command's exit code and stderr. Exits 1 and
+match. One input, fib.json, is written again with other bytes after commands
+have read it, and then read again: a point set that one process kept from the
+old bytes would show as a difference. exits.txt records each command's exit
+code and stderr. Exits 1 and
 lists every file whose bytes differ between the sides, or that one side lacks;
 exits 0 when there is none.
 """
@@ -67,6 +70,12 @@ COMMANDS = [
     ("lr.json", ("check", "lr", "--rules", "fibonacci", "--length", "2000", "--radii", "1..40")),
     ("subadditive.json", ("check", "subadditive", "--input", "fib.json", "--xi", "0.7236",
                           "--scales", "5,10,20", "--samples", "4", "--seed", "2")),
+    # fib.json again, over another box: other bytes at a path read above, read again below
+    ("fib.json", ("gen", "model-set", "--scheme", "fibonacci", "--box", "0,200")),
+    ("scan-fib-rewritten.csv", ("diffract", "scan", "--input", "fib.json", "--box", "0,300",
+                                "--xi", "0:2:0.05")),
+    ("subadditive-rewritten.json", ("check", "subadditive", "--input", "fib.json", "--xi", "0.7236",
+                                    "--scales", "5,10,20", "--samples", "4", "--seed", "2")),
 ]
 
 
@@ -113,7 +122,7 @@ def main(argv=None) -> int:
         differ = _differing(tmp / "base" / "out", tmp / "new" / "out")
     for name in differ:
         print(f"differs: {name}")
-    print(f"{len(differ)} of {len(COMMANDS) + 1} outputs differ from {args.base}")
+    print(f"{len(differ)} of {len({name for name, _ in COMMANDS}) + 1} outputs differ from {args.base}")
     return 1 if differ else 0
 
 
