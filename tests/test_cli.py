@@ -144,7 +144,7 @@ class TestGen:
     def test_region_past_the_float_range_exit_code(self, tmp_path):
         # a side of 3.4e308 overflows to inf; with RuntimeWarnings as errors an
         # overflow warning would end in a traceback and exit 1. The box is refused as
-        # it is parsed, before the preimage bounds (which once overflowed) are formed
+        # it is parsed, before any preimage bound is formed
         script = (
             "import sys; from quasidiff.cli import main\n"
             "sys.exit(main(['gen', 'model-set', '--scheme', 'fibonacci', '--box=-1.7e308,1.7e308',\n"
