@@ -722,18 +722,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"resource limit: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
-        return 3
-    except NumericalDiagnosticError as exc:
-        print(f"numerical diagnostic: {exc}", file=sys.stderr)
-        return 4
+    except (ValidationError, ResourceLimitError, NumericalDiagnosticError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = ResourceLimitError(f"out of memory: {str(exc) or 'an allocation failed'}")
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +65,9 @@ def fourier_average(wps: WeightedPointSet, box: Box, xi) -> FourierAverage:
 
 
 def _real_or_complex(c: np.ndarray) -> np.ndarray:
-    """c.real (a view) when no part of c is imaginary, else c: the weights _phase_terms takes."""
-    return c if c.imag.any() else c.real
+    """The weights c as _phase_terms takes them: c when some part of c is imaginary, else a
+    contiguous float64 copy of its real part, which holds no reference to c."""
+    return c if c.imag.any() else np.ascontiguousarray(c.real, dtype=float)
 
 
 def _phase_terms(x: np.ndarray, c: np.ndarray, xi: np.ndarray, imag: bool, out: np.ndarray | None = None):
@@ -106,22 +107,37 @@ def _evaluator(wps: WeightedPointSet, boxes: list, estimator: str):
     The patch is restricted to each box once: its points and weights for
     fourier, one unbounded autocorrelation patch for autocorr. per_scale(xi)
     returns the intensity in each box, |c^xi_B|^2 or its autocorrelation
-    transform, for a validated frequency vector xi, and raises
+    transform, for a validated frequency vector xi. It raises
     NumericalDiagnosticError if |xi|_1 times the largest |x| (fourier) or
-    |z| (autocorr) over the boxes reaches 2**52.
+    |z| (autocorr) over the boxes reaches 2**52, or if an intensity is not a
+    finite float, as past the float range in a box too small for it.
     """
     if estimator == "autocorr":
         patches = [autocorrelation(wps, b) for b in boxes]
-        return ([p.point_count for p in patches],
-                lambda xi: [intensity_from_autocorr(p, xi) for p in patches])
-    parts = [(pts, _real_or_complex(w), b.volume) for b in boxes for pts, w in [_in_box(wps, b)]]
-    extent = max(_extent(pts) for pts, _, _ in parts)
+        counts = [p.point_count for p in patches]
+
+        def each(xi):
+            return [intensity_from_autocorr(p, xi) for p in patches]
+    else:
+        parts = [(pts, _real_or_complex(w), b.volume) for b in boxes for pts, w in [_in_box(wps, b)]]
+        extent = max(_extent(pts) for pts, _, _ in parts)
+        counts = [len(pts) for pts, _, _ in parts]
+
+        def each(xi):
+            _phase_check(xi, extent)
+            return [abs(_phase_sum(pts, w, xi) / vol) ** 2 for pts, w, vol in parts]
 
     def per_scale(xi):
-        _phase_check(xi, extent)
-        return [abs(_phase_sum(pts, w, xi) / vol) ** 2 for pts, w, vol in parts]
+        try:
+            vals = each(xi)
+        except OverflowError:  # a float ** or math.fsum past the float range
+            vals = [np.inf]
+        if not np.isfinite(vals).all():
+            raise NumericalDiagnosticError(f"intensity at xi={xi.tolist()} is not a finite float; "
+                                           "the box is too small for it")
+        return vals
 
-    return [len(pts) for pts, _, _ in parts], per_scale
+    return counts, per_scale
 
 
 def _convergence(intensities) -> tuple[float, bool, float]:
@@ -175,51 +191,45 @@ def intensity_sequence(wps: WeightedPointSet, boxes, xi) -> tuple[list[float], d
 
 @dataclass(frozen=True)
 class AutocorrelationPatch:
-    """Binned finite-volume autocorrelation of a patch.
+    """Binned finite-volume autocorrelation of a patch, as intensity_from_autocorr reads it.
 
-    Only the diagonal and one bin of each +-q pair are stored. _half holds
-    the bins of the pairs i > j in order of first appearance: their quantized
-    difference vectors (int64 multiples of bin_epsilon), volume-normalized
-    coefficients, one raw (unrounded) difference each, and the per-axis spread
-    of raw differences that fell into the bin; _diagonal is the coefficient
-    at 0. Hermitian symmetry is structural: the mirror of each bin sits at -q
-    with the exact conjugate coefficient, and is never built. len(patch)
-    counts the diagonal, every bin and its mirror. _weights, set once, is
-    the coefficients as _phase_terms takes them: their real part when no
-    coefficient has an imaginary one; _extent is the largest |z| over the
+    Only the diagonal and one bin of each +-q pair are stored: the bins of the
+    pairs i > j, in order of first appearance. _reps holds one raw (unrounded)
+    difference of each bin, whose quantized difference vector, its key, is
+    _quantize(_reps, bin_epsilon); _weights holds the volume-normalized
+    coefficients in the layout _phase_terms takes (_real_or_complex, set
+    once); _diagonal is the coefficient at 0. Hermitian symmetry is
+    structural: the mirror of each bin sits at -q with the exact conjugate
+    coefficient, and is never built. len(patch) counts the diagonal, every
+    bin and its mirror. _spread is the largest per-axis spread of the raw
+    differences that fell into one bin; _extent is the largest |z| over the
     raw differences, the bound of intensity_from_autocorr's phase check.
     """
 
-    _half: tuple
+    _reps: np.ndarray
+    _weights: np.ndarray
     _diagonal: float
     bin_epsilon: float
     normalizing_volume: float
     max_radius: float | None
-    source_box: Box
     point_count: int = 0
-    meta: dict = field(default_factory=dict)
+    _spread: float = 0.0
 
     def __post_init__(self):
-        keys, coeffs, reps, spreads = half = (
-            np.asarray(self._half[0], dtype=np.int64),
-            np.asarray(self._half[1], dtype=complex),
-            np.asarray(self._half[2], dtype=float),
-            np.asarray(self._half[3], dtype=float),
-        )
-        if coeffs.shape != (len(keys),) or reps.shape != keys.shape or spreads.shape != keys.shape:
+        reps, weights = np.asarray(self._reps, dtype=float), _real_or_complex(np.asarray(self._weights))
+        if reps.ndim != 2 or weights.shape != (len(reps),):
             raise ValidationError("inconsistent autocorrelation bin arrays")
-        for a in half:
+        for name, a in (("_reps", reps), ("_weights", weights)):
             a.setflags(write=False)
-        object.__setattr__(self, "_half", half)
-        object.__setattr__(self, "_weights", _real_or_complex(coeffs))
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "_extent", _extent(reps))
 
     def __len__(self) -> int:
-        return 2 * len(self._half[0]) + 1
+        return 2 * len(self._reps) + 1
 
     @property
     def dim(self) -> int:
-        return self._half[0].shape[1]
+        return self._reps.shape[1]
 
     def max_bin_spread(self) -> float:
         """Largest per-axis spread of raw differences sharing a bin.
@@ -228,7 +238,7 @@ class AutocorrelationPatch:
         construction; values approaching bin_epsilon mean distinct difference
         classes are being merged and the quantization is too coarse.
         """
-        return float(self._half[3].max(initial=0.0))
+        return self._spread
 
 
 def _new_run(rows: int, dim: int, old: tuple = (), held: int = 0) -> tuple:
@@ -405,9 +415,9 @@ def autocorrelation(
     the first batch's bins and, when a batch would overflow it, is copied
     into one of twice the rows it needs, up to the same cap. A run that the
     merged bins fill at least half is the patch, its columns sliced, not
-    copied; a mostly empty one is copied so that its rows are freed. The
-    patch stores only the bins and the diagonal; their mirrors at -q are the
-    exact conjugates.
+    copied; a mostly empty one is copied so that its rows are freed.
+    NumericalDiagnosticError if the raw differences of a bin spread past
+    bin_epsilon, or if a doubled coefficient over vol(box) leaves the floats.
     """
     pts, w = _in_box(wps, box)
     if max_radius is not None and not max_radius > 0:
@@ -443,35 +453,30 @@ def autocorrelation(
                     "bins; truncate with max_radius or coarsen bin_epsilon"
                 )
     held = _merge_runs(run, held)
+    spread = float(np.subtract(run[4][:held], run[3][:held]).max(initial=0.0))  # per-axis max less min
+    if spread > bin_epsilon:
+        raise NumericalDiagnosticError(
+            f"one bin absorbed raw differences spread {spread:.3g} > bin_epsilon "
+            f"{bin_epsilon:.3g}; distinct difference classes were merged"
+        )
     # a run at least half full is the patch; a copy frees a mostly empty one
-    qkeys, coeffs, reps, rmin, spreads = (a[:held] if 2 * held >= len(a) else a[:held].copy() for a in run)
-    del run
-    spreads -= rmin
+    sums, reps = (a[:held] if 2 * held >= len(a) else a[:held].copy() for a in run[1:3])
+    del run  # and with it the keys and the per-axis minima and maxima
+    # diagonal bin: ordered pairs (x, x) contribute |w_x|^2; no distinct pair
+    # can land here because bin_epsilon < min_separation / 2
+    diagonal = _exact_sum(np.abs(w) ** 2)
+    if not np.isfinite(2.0 * max(diagonal, _extent(sums.view(float))) / vol):  # the estimator doubles them
+        raise NumericalDiagnosticError(f"autocorrelation coefficients over the box volume {vol:.3g} "
+                                       "leave the float range; the box is too small for them")
     # Python's complex / float (before 3.14), signed zeros included: (re + im*0.0,
     # im - re*0.0) / vol; re only turns -0.0 to +0.0, where im - re*0.0 = im
-    re, im = coeffs.real, coeffs.imag
+    re, im = sums.real, sums.imag
     re += im * 0.0
     im -= re * 0.0
     re /= vol
     im /= vol
-    # diagonal bin: ordered pairs (x, x) contribute |w_x|^2; no distinct pair
-    # can land here because bin_epsilon < min_separation / 2
-    patch = AutocorrelationPatch(
-        (qkeys, coeffs, reps, spreads),
-        _exact_sum(np.abs(w) ** 2) / vol,
-        float(bin_epsilon),
-        vol,
-        None if max_radius is None else float(max_radius),
-        box,
-        point_count=n,
-    )
-    bad = patch.max_bin_spread()
-    if bad > bin_epsilon:
-        raise NumericalDiagnosticError(
-            f"one bin absorbed raw differences spread {bad:.3g} > bin_epsilon "
-            f"{bin_epsilon:.3g}; distinct difference classes were merged"
-        )
-    return patch
+    return AutocorrelationPatch(reps, sums, diagonal / vol, float(bin_epsilon), vol,
+                                None if max_radius is None else float(max_radius), n, spread)
 
 
 def intensity_from_autocorr(patch: AutocorrelationPatch, xi, averaging_box: Box | None = None) -> float:
@@ -499,7 +504,7 @@ def intensity_from_autocorr(patch: AutocorrelationPatch, xi, averaging_box: Box 
     """
     xi = _vector(xi, dim=patch.dim, name="xi")
     _phase_check(xi, patch._extent)
-    reps, weights = patch._half[2], patch._weights
+    reps, weights = patch._reps, patch._weights
     if averaging_box is None:
         terms = np.empty(len(reps) + 1)
         terms[0] = patch._diagonal

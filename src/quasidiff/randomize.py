@@ -21,7 +21,7 @@ import numpy as np
 from ._kernels import _rng
 from .errors import NumericalDiagnosticError, ValidationError
 from .geometry import Box, _vector
-from .pointset import WeightedPointSet
+from .pointset import WeightedPointSet, _min_separation_raw
 from .diffraction import fourier_average
 
 _DIST_KINDS = ("uniform_interval", "two_point", "table")
@@ -179,19 +179,17 @@ def displace(wps: WeightedPointSet, dist: DisplacementDist, seed: int) -> Weight
     """
     n = len(wps)
     offsets = dist.sample(n, wps.dim, _rng(seed)) if n else np.zeros((0, wps.dim))
-    pts = wps.points + offsets
     params = {"dist": dist.to_json()}
-    if n > 1:
-        from .pointset import _min_separation_raw
-
-        params["min_separation"] = float(_min_separation_raw(pts[np.lexsort(pts.T[::-1])]))
     meta = {
         "generator": "displacement",
         "params": params,
         "seed": int(seed),
         "source": dict(wps.meta),
     }
-    return WeightedPointSet(wps.dim, pts, wps.weights, meta)
+    out = WeightedPointSet(wps.dim, wps.points + offsets, wps.weights, meta)
+    if n > 1:
+        params["min_separation"] = float(_min_separation_raw(out.points))
+    return out
 
 
 def apply_model(wps: WeightedPointSet, model: RandomModel) -> WeightedPointSet:

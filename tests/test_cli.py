@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -565,11 +567,27 @@ class TestErrors:
           "--estimator", "autocorr"], 2),
         (["check", "subadditive", "--input", "fib.json", "--xi", "0", "--scales", "2,4",
           "--samples", "2", "--domain=-1.7e308,1.7e308"], 2),
+        (["diffract", "scan", "--input", "fib.json", "--box", "0,1e-300", "--xi", "0.5"], 4),
+        (["diffract", "scan", "--input", "fib.json", "--box", "0,1e-300", "--xi", "0.5",
+          "--estimator", "autocorr"], 4),
+        (["diffract", "scan", "--input", "fib.json", "--box", "0,5e-324", "--xi", "0.5"], 4),
+        (["diffract", "scan", "--input", "fib.json", "--box", "0,5e-324", "--xi", "0.5",
+          "--estimator", "autocorr"], 4),
+        (["diffract", "scan", "--input", "lat.json", "--box=0,0;5e-324,3", "--xi", "0,0"], 4),
+        (["diffract", "scan", "--input", "lat.json", "--box=0,0;5e-324,3", "--xi", "0,0",
+          "--estimator", "autocorr"], 4),
+        (["diffract", "peaks", "--input", "fib.json", "--box", "0,5e-324", "--xi", "0:1:0.1",
+          "--floor", "0.01", "--refine"], 4),
+        (["diffract", "peak", "--input", "fib.json", "--xi", "0.5", "--vanhove", "1e-300,2,3",
+          "--center", "0"], 4),
     ], ids=["scan", "peak-autocorr", "peaks-refine", "subadditive", "ww", "substitution-lengths",
             "displace-2d", "box-volume-underflow", "box-volume-overflow", "box-side-overflow",
-            "box-side-overflow-autocorr", "subadditive-domain"])
+            "box-side-overflow-autocorr", "subadditive-domain", "tiny-box", "tiny-box-autocorr",
+            "subnormal-box", "subnormal-box-autocorr", "subnormal-box-2d", "subnormal-box-2d-autocorr",
+            "subnormal-box-peaks-refine", "tiny-cubes"])
     def test_past_the_float_range_exit_code(self, tmp_path, argv, code):
-        # a phase |xi|_1 max|x| of 2**52 or more has no fractional bits left (exit 4), and a
+        # a phase |xi|_1 max|x| of 2**52 or more has no fractional bits left, and a box too
+        # small for a finite coefficient or intensity leaves nothing to report (exit 4); a
         # chain, a displacement, a box side or a box volume past the float range, or a box
         # volume of 0, is invalid input (exit 2); with RuntimeWarnings as errors an overflow
         # warning on the way would end in a traceback
@@ -1143,7 +1161,8 @@ class TestParsedPointSets:
             assert run("gen", "lattice", "--box", box, "--output", str(path)) == 0
             assert run("diffract", "scan", "--input", str(path), "--box", "0,50", "--xi", "0",
                        "--output", str(out)) == 0
-            sp, env = spectrum_from_csv(out.open())
+            with out.open() as fh:
+                sp, env = spectrum_from_csv(fh)
             assert env["input_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()
             counts.append(sp.entries[0].point_count)
         assert counts == [50, 30, 50]
@@ -1197,3 +1216,78 @@ class TestParsedPointSets:
             assert run("diffract", "scan", "--input", str(lattice_file), "--box", "0,2000", "--xi", "0,0.5",
                        "--output", str(tmp_path / "scan.csv")) == 0
             assert opened.count(os.path.realpath(lattice_file)) == 1
+
+
+# the values a fuzzed numeric token takes: the float range's ends and subnormals, the
+# special values, signed zeros, and integers past 2**53, 2**63 and any cap
+_EXTREMES = ("1.7e308", "-1.7e308", "1e300", "-1e300", "1e-300", "1e-310", "1e-320", "-1e-320", "5e-324",
+             "nan", "inf", "-inf", "0", "-0", "-1", "1e20", "9007199254740993", "9223372036854775808",
+             "-9223372036854775809")
+# a numeric token of an argv value: not part of a name such as lat1.json
+_NUMBER = re.compile(r"(?<!\w)-?\d+(?:\.\d+)?(?:e-?\d+)?")
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} in a JSON output")
+
+
+def _cells_finite(text: str) -> bool:
+    """Whether every number in a JSON output, or in a CSV output's rows outside last_gap, is finite."""
+    if text.startswith("{"):
+        try:
+            json.loads(text, parse_constant=_refuse)
+        except ValueError:
+            return False
+        return True
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    skip = rows[0].index("last_gap") if "last_gap" in rows[0] else None
+    for row in rows[1:]:
+        for i, cell in enumerate(row):
+            try:
+                if i != skip and not np.isfinite(float(cell)):
+                    return False
+            except ValueError:  # a word cell: an estimator name, true or false
+                pass
+    return True
+
+
+class TestFuzz:
+    def test_extreme_tokens_end_with_a_documented_exit(self, tmp_path, monkeypatch):
+        from test_same_outputs import same_outputs
+
+        from quasidiff import diffraction
+
+        # the inputs every command reads, as the unmodified commands write them
+        monkeypatch.chdir(tmp_path)
+        for name, argv in same_outputs.COMMANDS:
+            assert run(*argv, "--output", name) == 0
+        pools = []
+        real_pool = diffraction.ThreadPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers)
+
+        monkeypatch.setattr(diffraction, "ThreadPoolExecutor", pool)
+        rng = np.random.default_rng(26)
+        failures = []
+        for _ in range(2000):
+            argv = list(same_outputs.COMMANDS[rng.integers(len(same_outputs.COMMANDS))][1])
+            sites = [(i, m.span()) for i, a in enumerate(argv) for m in _NUMBER.finditer(a)]
+            i, (lo, hi) = sites[rng.integers(len(sites))]
+            argv[i] = argv[i][:lo] + _EXTREMES[rng.integers(len(_EXTREMES))] + argv[i][hi:]
+            out = tmp_path / "fuzz.out"
+            with warnings.catch_warnings(record=True) as caught, redirect_stderr(io.StringIO()):
+                warnings.simplefilter("always")
+                try:
+                    code = main([*argv, "--output", str(out)])
+                except Exception as exc:  # noqa: BLE001 - every exception is a finding
+                    code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3, 4) or caught:
+                failures.append((argv, code, [str(w.message) for w in caught]))
+            elif code == 0 and not _cells_finite(out.read_text()):
+                failures.append((argv, "non-finite output", []))
+            out.unlink(missing_ok=True)
+        assert not failures, f"{len(failures)} failing calls, the first: {failures[:5]}"
+        # a --threads value over the cap is refused before a pool starts: only COMMANDS' counts ran
+        assert set(pools) <= {1, 2}

@@ -25,6 +25,7 @@ from quasidiff import (
     spectrum_from_csv,
     spectrum_to_csv,
 )
+from quasidiff.diffraction import _quantize
 
 TAU = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -40,16 +41,28 @@ def _dense_pairs(pts, w, max_radius):
 
 
 def _half_by_key(p):
-    # keys, coeffs, reps and spreads of the half, sorted by key, as bytes
-    order = np.lexsort(p._half[0].T[::-1])
-    return [a[order].tobytes() for a in p._half]
+    # keys (quantized representatives), weights and representatives of the half, sorted by key, as bytes
+    keys = _quantize(p._reps, p.bin_epsilon)
+    order = np.lexsort(keys.T[::-1])
+    return [a[order].tobytes() for a in (keys, p._weights, p._reps)]
+
+
+def _pair_keys(pairs, eps):
+    # the distinct quantized differences of a reference pair generator, in key order, as bytes
+    return np.unique(_quantize(np.concatenate([d for d, _, _ in pairs]), eps), axis=0).tobytes()
+
+
+def _held(p):
+    # everything a patch holds, in bin order: arrays as bytes, with the weights' dtype, and floats as hex
+    return (p._reps.tobytes(), p._weights.dtype.str, p._weights.tobytes(), p._diagonal.hex(),
+            p.max_bin_spread().hex(), p.point_count)
 
 
 def _full_layout(p):
-    """(keys, coeffs, reps, spreads) of the diagonal, every bin and its mirror at -q,
-    in key order: laid out as the diagonal, then each bin and its mirror, and sorted
-    by np.lexsort, so coinciding keys keep that order."""
-    keys, coeffs, reps, spreads = p._half
+    """(keys, coeffs, reps) of the diagonal, every bin and its mirror at -q, in key
+    order: laid out as the diagonal, then each bin and its mirror, and sorted by
+    np.lexsort, so coinciding keys keep that order."""
+    keys, coeffs, reps = _quantize(p._reps, p.bin_epsilon), p._weights, p._reps
     origin = np.zeros((1, p.dim))
 
     def layout(diag, pos, neg):
@@ -58,12 +71,12 @@ def _full_layout(p):
     full = layout(origin.astype(np.int64), keys, -keys)
     order = np.lexsort(full.T[::-1])
     return (full[order], layout([p._diagonal], coeffs, np.conj(coeffs))[order],
-            layout(origin, reps, -reps)[order], layout(origin, spreads, spreads)[order])
+            layout(origin, reps, -reps)[order])
 
 
 def _bins(p):
     """{quantized difference tuple: coefficient} over the full layout."""
-    keys, coeffs, _, _ = _full_layout(p)
+    keys, coeffs, _ = _full_layout(p)
     return dict(zip(map(tuple, keys.tolist()), coeffs.tolist()))
 
 
@@ -298,8 +311,7 @@ class TestPhaseKernel:
             assert e.intensity.hex() == (abs(want) ** 2).hex()
 
         # a patch whose raw representatives are the coordinates themselves
-        keys = np.arange(1, n + 1)[:, None]
-        patch = AutocorrelationPatch((keys, w, x, np.zeros((n, 1))), 7.5, 1e-9, box.volume, None, box, n)
+        patch = AutocorrelationPatch(x, w, 7.5, 1e-9, box.volume, None, n)
         near = Box([-2.0], [2.0])
         pos, neg = near.contains(x), near.contains(-x)
         for xi in np.array(xis)[:, None]:
@@ -480,9 +492,9 @@ class TestAutocorrelation:
         pts[35 * 40 + 5, 0] -= 1e-13
         patch = autocorrelation(WeightedPointSet(2, pts), Box([-1.0, -1.0], [41.0, 41.0]))
         q = round(5.0 / patch.bin_epsilon)
-        half = patch._half[0].tolist()
+        half = _quantize(patch._reps, patch.bin_epsilon).tolist()
         assert half.index([0, -q]) < half.index([0, q])
-        keys, _, reps, _ = _full_layout(patch)
+        keys, _, reps = _full_layout(patch)
         rows = np.flatnonzero((keys == [0, q]).all(axis=1))
         assert len(rows) == 2
         assert reps[rows[0]][0] < 0.0
@@ -507,7 +519,8 @@ class TestAutocorrelation:
         monkeypatch.setattr(diffraction, "_pair_batches", _dense_pairs)
         want = autocorrelation(wps, box)
         assert _half_by_key(got) == _half_by_key(want)
-        assert got._diagonal == want._diagonal
+        assert _half_by_key(got)[0] == _pair_keys(_dense_pairs(pts, w, None), got.bin_epsilon)
+        assert _held(got)[3:] == _held(want)[3:]  # the diagonal, the largest spread, the points
 
     def test_blocks_of_one_pair_per_bin_fill_one_run(self, monkeypatch):
         from quasidiff import diffraction
@@ -520,11 +533,12 @@ class TestAutocorrelation:
         box, eps = Box([-1.0], [501.0]), 1e-10  # fine enough that no two differences share a bin
         assert len(list(diffraction._pair_batches(wps.points, wps.weights, None))) >= 3
         got = autocorrelation(wps, box, bin_epsilon=eps)
-        assert len(got._half[0]) == 500 * 499 // 2
+        assert len(got._reps) == 500 * 499 // 2
         monkeypatch.setattr(diffraction, "_pair_batches", _dense_pairs)
         want = autocorrelation(wps, box, bin_epsilon=eps)
         assert _half_by_key(got) == _half_by_key(want)
-        assert got._diagonal == want._diagonal
+        assert _half_by_key(got)[0] == _pair_keys(_dense_pairs(wps.points, wps.weights, None), eps)
+        assert _held(got)[3:] == _held(want)[3:]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_bin_budget_merges_the_run_mid_build(self, monkeypatch, dim):
@@ -542,7 +556,7 @@ class TestAutocorrelation:
         box = Box([-1.0] * dim, [401.0] * dim)
         want = autocorrelation(wps, box)
         monkeypatch.setattr(diffraction, "_PAIR_BLOCK", 1000)
-        monkeypatch.setattr(diffraction, "_BIN_BUDGET", len(want._half[0]))
+        monkeypatch.setattr(diffraction, "_BIN_BUDGET", len(want._reps))
         batches, merges = [], []
         pair_batches, merge_runs = diffraction._pair_batches, diffraction._merge_runs
 
@@ -559,9 +573,8 @@ class TestAutocorrelation:
         monkeypatch.setattr(diffraction, "_merge_runs", counted_merge)
         got = autocorrelation(wps, box)
         assert 0 < merges[0] < len(batches) - 1  # blocks were written after a merge
-        for a, b in zip(got._half, want._half):
-            assert a.tobytes() == b.tobytes()
-        assert got._diagonal == want._diagonal
+        assert _held(got) == _held(want)
+        assert _half_by_key(got)[0] == _pair_keys(_dense_pairs(wps.points, wps.weights, None), got.bin_epsilon)
 
     def test_run_rows_stay_within_the_bin_budget(self, monkeypatch):
         import tracemalloc
@@ -578,7 +591,7 @@ class TestAutocorrelation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(patch._half[0]) < 3000 and peak < 16 * 2**20
+        assert len(patch._reps) < 3000 and peak < 16 * 2**20
 
     def test_run_grows_from_the_first_batch(self):
         import tracemalloc
@@ -593,9 +606,9 @@ class TestAutocorrelation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(patch._half[0]) < 3000 and peak < 20 * 2**20
+        assert len(patch._reps) < 3000 and peak < 20 * 2**20
         # a mostly empty run is copied, so the patch holds only its bins
-        assert all(a.base is None for a in patch._half)
+        assert patch._reps.base is None and patch._weights.base is None
 
     def test_radius_run_grows_from_the_first_batch(self):
         import tracemalloc
@@ -609,7 +622,7 @@ class TestAutocorrelation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(patch._half[0]) == 2411 and peak < 40 * 2**20
+        assert len(patch._reps) == 2411 and peak < 40 * 2**20
 
     def test_nearly_distinct_run_is_the_patch(self):
         import tracemalloc
@@ -625,9 +638,25 @@ class TestAutocorrelation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 600 * 599 // 2 - 100 < len(patch._half[0]) < 600 * 599 // 2
-        assert peak < 2 * sum(a.nbytes for a in patch._half)
-        assert all(a.base is not None for a in patch._half)
+        assert 600 * 599 // 2 - 100 < len(patch._reps) < 600 * 599 // 2
+        assert peak < 80 * len(patch._reps)  # twice the 40 bytes a bin of keys, coefficients, reps and spreads
+        # the representatives are the run's column; the real weights are a copy, not a view of a complex one
+        assert patch._reps.base is not None and patch._weights.base is None
+
+    @pytest.mark.parametrize("dim, per_bin", [(1, 16), (2, 24)])
+    def test_a_real_patch_holds_its_bytes_a_bin(self, dim, per_bin):
+        # a jittered chain or lattice of unit weights: every difference its own bin, and
+        # every coefficient real; a bin holds its representative and one float64 weight
+        rng = np.random.default_rng(9)
+        pts = np.stack(np.meshgrid(*[np.arange(20.0)] * dim, indexing="ij"), -1).reshape(-1, dim)
+        pts = pts + rng.uniform(-0.3, 0.3, pts.shape)
+        patch = autocorrelation(WeightedPointSet(dim, pts), Box([-1.0] * dim, [21.0] * dim))
+        arrays = {k: v for k, v in vars(patch).items() if isinstance(v, np.ndarray)}
+        assert sorted(arrays) == ["_reps", "_weights"]
+        assert not hasattr(patch, "source_box") and not hasattr(patch, "meta")
+        assert patch._weights.dtype == np.float64 and patch._weights.flags.c_contiguous
+        assert sum(a.nbytes for a in arrays.values()) == per_bin * len(patch._reps)
+        assert len(patch._reps) == len(pts) * (len(pts) - 1) // 2
 
     @pytest.mark.parametrize("block", [None, 1000, 1])  # None: the default
     @pytest.mark.parametrize("patch, radius", [
@@ -670,9 +699,8 @@ class TestAutocorrelation:
         assert (len(blocks) == 1) == (block is None)
         monkeypatch.setattr(diffraction, "_pair_batches", per_offset)
         want = autocorrelation(wps, box, max_radius=radius)
-        for a, b in zip(got._half, want._half):
-            assert a.tobytes() == b.tobytes()
-        assert got._diagonal == want._diagonal
+        assert _held(got) == _held(want)
+        assert _half_by_key(got)[0] == _pair_keys(per_offset(wps.points, wps.weights, radius), got.bin_epsilon)
         for a, b in zip(_full_layout(got), _full_layout(want)):
             assert a.tobytes() == b.tobytes()
 
@@ -688,6 +716,7 @@ class TestAutocorrelation:
         distinct = (len(ref) - 1) // 2  # bins at q > 0; the rest mirror them
         monkeypatch.setattr(diffraction, "_BIN_BUDGET", distinct)
         patch = autocorrelation(wps, box)
+        assert _held(patch) == _held(ref)
         for a, b in zip(_full_layout(patch), _full_layout(ref)):
             assert a.tobytes() == b.tobytes()
         monkeypatch.setattr(diffraction, "_BIN_BUDGET", distinct - 1)
@@ -706,6 +735,7 @@ class TestAutocorrelation:
         with pytest.raises(ResourceLimitError, match="within radius"):
             autocorrelation(wps, box, max_radius=1e9)
         patch = autocorrelation(wps, box, max_radius=0.02)
+        assert _held(patch) == _held(ref)
         for a, b in zip(_full_layout(patch), _full_layout(ref)):
             assert a.tobytes() == b.tobytes()
 
@@ -734,10 +764,12 @@ class TestAutocorrelation:
         halves = []
         for block in (2**15, 1000, 7):  # one batch, a few, one per offset or so
             monkeypatch.setattr(diffraction, "_PAIR_BLOCK", block)
-            halves.append([a.tobytes() for a in autocorrelation(wps, box, max_radius=radius)._half])
-        assert halves[0] == halves[1] == halves[2]
+            halves.append(autocorrelation(wps, box, max_radius=radius))
+        assert _held(halves[0]) == _held(halves[1]) == _held(halves[2])
         monkeypatch.setattr(diffraction, "_pair_batches", per_offset)
-        assert [a.tobytes() for a in autocorrelation(wps, box, max_radius=radius)._half] == halves[0]
+        assert _held(autocorrelation(wps, box, max_radius=radius)) == _held(halves[0])
+        keys = _pair_keys(per_offset(wps.points, wps.weights, radius), halves[0].bin_epsilon)
+        assert _half_by_key(halves[0])[0] == keys
 
 
 class TestIntensityFromAutocorr:
@@ -775,7 +807,7 @@ class TestIntensityFromAutocorr:
         patch = autocorrelation(WeightedPointSet(dim, pts, w), Box([-1.0] * dim, [9.0] * dim))
 
         # the full layout is closed under q -> -q with exactly conjugated coefficients
-        keys, coeffs, reps, _ = _full_layout(patch)
+        keys, coeffs, reps = _full_layout(patch)
         bins = [(k, c) for k, c in zip(keys.tolist(), coeffs) if any(k)]
         assert (sorted((tuple(k), c.tobytes()) for k, c in bins)
                 == sorted((tuple(-v for v in k), np.conj(c).tobytes()) for k, c in bins))
