@@ -133,8 +133,8 @@ def _evaluator(wps: WeightedPointSet, boxes: list, estimator: str):
         except OverflowError:  # a float ** or math.fsum past the float range
             vals = [np.inf]
         if not np.isfinite(vals).all():
-            raise NumericalDiagnosticError(f"intensity at xi={xi.tolist()} is not a finite float; "
-                                           "the box is too small for it")
+            raise NumericalDiagnosticError(f"intensity at xi={xi.tolist()} is not a finite float; the box "
+                                           "is too small, or the weights too large, for it")
         return vals
 
     return counts, per_scale
@@ -466,8 +466,8 @@ def autocorrelation(
     # can land here because bin_epsilon < min_separation / 2
     diagonal = _exact_sum(np.abs(w) ** 2)
     if not np.isfinite(2.0 * max(diagonal, _extent(sums.view(float))) / vol):  # the estimator doubles them
-        raise NumericalDiagnosticError(f"autocorrelation coefficients over the box volume {vol:.3g} "
-                                       "leave the float range; the box is too small for them")
+        raise NumericalDiagnosticError(f"autocorrelation coefficients over the box volume {vol:.3g} leave "
+                                       "the float range; the box is too small, or the weights too large")
     # Python's complex / float (before 3.14), signed zeros included: (re + im*0.0,
     # im - re*0.0) / vol; re only turns -0.0 to +0.0, where im - re*0.0 = im
     re, im = sums.real, sums.imag

@@ -519,7 +519,7 @@ class TestAutocorrelation:
         monkeypatch.setattr(diffraction, "_pair_batches", _dense_pairs)
         want = autocorrelation(wps, box)
         assert _half_by_key(got) == _half_by_key(want)
-        assert _half_by_key(got)[0] == _pair_keys(_dense_pairs(pts, w, None), got.bin_epsilon)
+        assert _half_by_key(got)[0] == _pair_keys(_dense_pairs(wps.points, wps.weights, None), got.bin_epsilon)
         assert _held(got)[3:] == _held(want)[3:]  # the diagonal, the largest spread, the points
 
     def test_blocks_of_one_pair_per_bin_fill_one_run(self, monkeypatch):
