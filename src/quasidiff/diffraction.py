@@ -65,8 +65,8 @@ def fourier_average(wps: WeightedPointSet, box: Box, xi) -> FourierAverage:
 
 
 def _real_or_complex(c: np.ndarray) -> np.ndarray:
-    """The weights c as _phase_terms takes them: c when some part of c is imaginary, else a
-    contiguous float64 copy of its real part, which holds no reference to c."""
+    """The weights c as _phase_terms takes them: c when some part of c is imaginary, else its
+    real part as a contiguous float64 array, a copy when c is complex, so c's column is freed."""
     return c if c.imag.any() else np.ascontiguousarray(c.real, dtype=float)
 
 
